@@ -459,7 +459,7 @@ void BM_StorePointLookup(benchmark::State& state) {
     e += 997;  // prime stride: consecutive lookups land in far-apart blocks
     const std::string key(entity);
     store::RangeScanStats rs;
-    auto slice = ts->MaterializeFromPin(*pin, &key, &key, &rs);
+    auto slice = ts->MaterializeSnapshot(*pin, &key, &key, &rs);
     if (!slice.ok()) {
       state.SkipWithError(slice.status().ToString().c_str());
       return;

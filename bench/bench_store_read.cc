@@ -153,7 +153,7 @@ Result<PointPhase> RunPointPhase(store::TruthStore* store, int num_entities,
     store::RangeScanStats rs;
     WallTimer timer;
     LTM_ASSIGN_OR_RETURN(const Dataset slice,
-                         store->MaterializeFromPin(*pin, &key, &key, &rs));
+                         store->MaterializeSnapshot(*pin, &key, &key, &rs));
     micros.push_back(timer.ElapsedSeconds() * 1e6);
     if (slice.raw.NumRows() == 0) {
       return Status::Internal("point lookup for " + key + " found no rows");

@@ -54,6 +54,11 @@ inline bool SegmentRowOrder(const SegmentRow& a, const SegmentRow& b) {
   return a.seq < b.seq;
 }
 
+/// Global ingest order: the order every materialize replays rows in.
+inline bool SegmentRowSeqOrder(const SegmentRow& a, const SegmentRow& b) {
+  return a.seq < b.seq;
+}
+
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 

@@ -68,12 +68,22 @@ void DiscardBuiltChild(std::shared_ptr<TruthStore>* child) {
 
 }  // namespace
 
+CompositePin::CompositePin(const PartitionedTruthStore* store, uint64_t epoch,
+                           std::vector<PartitionMapEntry> entries,
+                           std::vector<std::shared_ptr<TruthStore>> children,
+                           std::vector<std::unique_ptr<EpochPin>> pins)
+    : StorePin(store),
+      epoch_(epoch),
+      entries_(std::move(entries)),
+      children_(std::move(children)),
+      pins_(std::move(pins)) {}
+
 CompositePin::~CompositePin() {
   // Drop the per-child pins and child references BEFORE notifying the
   // store, so the reap the notification triggers sees them released.
   pins_.clear();
   children_.clear();
-  store_->ReleaseCompositePin();
+  static_cast<const PartitionedTruthStore*>(issuer())->ReleaseCompositePin();
 }
 
 std::string PartitionedVerifyReport::Summary() const {
@@ -117,7 +127,6 @@ PartitionedTruthStore::~PartitionedTruthStore() {
 TruthStoreOptions PartitionedTruthStore::ChildOptions(uint64_t id,
                                                       size_t count) const {
   TruthStoreOptions opts = options_.store;
-  opts.external_sequencing = true;
   opts.metrics = metrics_;
   opts.metrics_label = "partition=\"" + std::to_string(id) + "\"";
   // The router owns the per-slot posterior caches; the child's own cache
@@ -244,10 +253,10 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
   }
 
   // Recover the global sequence counter from the children: every durable
-  // row's seq is below some child's NextRowSeq().
+  // row's seq is below some child's next_row_seq.
   uint64_t next_seq = 0;
   for (const std::shared_ptr<TruthStore>& child : st->children_) {
-    next_seq = std::max(next_seq, child->NextRowSeq());
+    next_seq = std::max(next_seq, child->Stats().next_row_seq);
   }
   st->next_seq_.store(next_seq, std::memory_order_relaxed);
   const size_t count = st->children_.size();
@@ -265,10 +274,9 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
 
 Status PartitionedTruthStore::Append(const WalRecord& record) {
   ReaderMutexLock lock(table_mu_);
-  WalRecord routed = record;
-  routed.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const size_t idx = FindPartition(map_, routed.entity);
-  return children_[idx]->Append(routed);
+  std::vector<WalRecord> routed{record};
+  routed[0].seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  return children_[FindPartition(map_, record.entity)]->AppendRecords(routed);
 }
 
 Status PartitionedTruthStore::AppendRaw(const RawDatabase& raw) {
@@ -277,16 +285,14 @@ Status PartitionedTruthStore::AppendRaw(const RawDatabase& raw) {
   // then group-commit each partition's slice in one lock hold + sync.
   std::vector<std::vector<WalRecord>> split(children_.size());
   for (const RawRow& row : raw.rows()) {
-    WalRecord record;
-    record.entity = std::string(raw.entities().Get(row.entity));
-    record.attribute = std::string(raw.attributes().Get(row.attribute));
-    record.source = std::string(raw.sources().Get(row.source));
-    record.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    WalRecord record = TruthStore::RawRowRecord(
+        raw, row, next_seq_.fetch_add(1, std::memory_order_relaxed));
     split[FindPartition(map_, record.entity)].push_back(std::move(record));
   }
   for (size_t i = 0; i < children_.size(); ++i) {
     if (split[i].empty()) continue;
     LTM_RETURN_IF_ERROR(children_[i]->AppendRecords(split[i]));
+    LTM_RETURN_IF_ERROR(children_[i]->Sync());
   }
   return Status::OK();
 }
@@ -350,6 +356,7 @@ Result<std::shared_ptr<TruthStore>> PartitionedTruthStore::BuildChild(
   std::shared_ptr<TruthStore> shared(std::move(child));
   if (!rows.empty()) {
     LTM_RETURN_IF_ERROR(shared->AppendRecords(RowsToRecords(rows)));
+    LTM_RETURN_IF_ERROR(shared->Sync());
     LTM_RETURN_IF_ERROR(shared->Flush());
   }
   return shared;
@@ -517,10 +524,7 @@ Result<bool> PartitionedTruthStore::MaybeRebalance() {
       LTM_ASSIGN_OR_RETURN(const std::vector<SegmentRow> right_rows,
                            children_[merge_idx + 1]->CollectPinnedRows(*rpin));
       rows.insert(rows.end(), right_rows.begin(), right_rows.end());
-      std::sort(rows.begin(), rows.end(),
-                [](const SegmentRow& a, const SegmentRow& b) {
-                  return a.seq < b.seq;
-                });
+      std::sort(rows.begin(), rows.end(), SegmentRowSeqOrder);
       PartitionMap next = map_;
       PartitionMapEntry merged;
       merged.id = next.next_partition_id++;
@@ -608,10 +612,8 @@ void PartitionedTruthStore::ReapRetired() const {
 Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
-  const CompositePin* composite = pin.AsCompositePin();
-  if (composite == nullptr || composite->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
-  }
+  LTM_ASSIGN_OR_RETURN(const CompositePin* composite,
+                       IssuedPin<CompositePin>(pin));
   // Collect every partition's in-range rows (each already sorted by
   // seq), then merge on the router-assigned global sequence — the exact
   // ingest order a single store would replay.
@@ -627,51 +629,25 @@ Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
     rows.insert(rows.end(), std::make_move_iterator(child_rows.begin()),
                 std::make_move_iterator(child_rows.end()));
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const SegmentRow& a, const SegmentRow& b) {
-              return a.seq < b.seq;
-            });
-  RawDatabase combined;
-  for (const SegmentRow& row : rows) {
-    combined.Add(row.entity, row.attribute, row.source);
-  }
+  std::sort(rows.begin(), rows.end(), SegmentRowSeqOrder);
   if (stats != nullptr) *stats = total;
-  return Dataset::FromRaw("truthstore:" + dir_, std::move(combined));
+  return TruthStore::DatasetFromRows(dir_, rows);
 }
 
 Result<bool> PartitionedTruthStore::SnapshotFactMayExist(
     const StorePin& pin, const std::string& entity,
     const std::string& attribute) const {
-  const CompositePin* composite = pin.AsCompositePin();
-  if (composite == nullptr || composite->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
-  }
+  LTM_ASSIGN_OR_RETURN(const CompositePin* composite,
+                       IssuedPin<CompositePin>(pin));
   // Route on the boundaries frozen at pin time: exactly one partition
   // can hold the entity.
   for (size_t i = 0; i < composite->entries_.size(); ++i) {
     if (composite->entries_[i].Contains(entity)) {
-      return composite->children_[i]->PinnedFactMayExist(
+      return composite->children_[i]->SnapshotFactMayExist(
           *composite->pins_[i], entity, attribute);
     }
   }
   return false;  // unreachable with a validated map
-}
-
-Result<Dataset> PartitionedTruthStore::Materialize(uint64_t* epoch_out) const {
-  const std::unique_ptr<StorePin> pin = PinSnapshot();
-  LTM_ASSIGN_OR_RETURN(Dataset ds, MaterializeSnapshot(*pin));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
-}
-
-Result<Dataset> PartitionedTruthStore::MaterializeEntityRange(
-    const std::string& min_entity, const std::string& max_entity,
-    RangeScanStats* stats, uint64_t* epoch_out) const {
-  const std::unique_ptr<StorePin> pin = PinSnapshot(&min_entity, &max_entity);
-  LTM_ASSIGN_OR_RETURN(
-      Dataset ds, MaterializeSnapshot(*pin, &min_entity, &max_entity, stats));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
 }
 
 uint64_t PartitionedTruthStore::epoch() const {

@@ -24,10 +24,10 @@ class PartitionedTruthStore;
 /// Knobs for a PartitionedTruthStore.
 struct PartitionedStoreOptions {
   /// Template for every child store. Per-child fields are overridden by
-  /// the router: external_sequencing is forced on, metrics_label gets
-  /// `partition="<index>"`, metrics points at the router's registry, and
-  /// block_cache_mb / posterior_cache_capacity are divided across the
-  /// partitions so the configured budgets stay totals.
+  /// the router: metrics_label gets `partition="<index>"`, metrics points
+  /// at the router's registry, and block_cache_mb /
+  /// posterior_cache_capacity are divided across the partitions so the
+  /// configured budgets stay totals.
   TruthStoreOptions store;
 
   /// Initial partition count when creating a fresh store (>= 1). An
@@ -60,7 +60,6 @@ class CompositePin : public StorePin {
   ~CompositePin() override;
 
   uint64_t epoch() const override { return epoch_; }
-  const CompositePin* AsCompositePin() const override { return this; }
 
   size_t num_partitions() const { return pins_.size(); }
   /// The partition boundaries frozen at pin time (routing for point
@@ -72,14 +71,8 @@ class CompositePin : public StorePin {
   CompositePin(const PartitionedTruthStore* store, uint64_t epoch,
                std::vector<PartitionMapEntry> entries,
                std::vector<std::shared_ptr<TruthStore>> children,
-               std::vector<std::unique_ptr<EpochPin>> pins)
-      : store_(store),
-        epoch_(epoch),
-        entries_(std::move(entries)),
-        children_(std::move(children)),
-        pins_(std::move(pins)) {}
+               std::vector<std::unique_ptr<EpochPin>> pins);
 
-  const PartitionedTruthStore* store_;
   uint64_t epoch_;
   std::vector<PartitionMapEntry> entries_;
   std::vector<std::shared_ptr<TruthStore>> children_;
@@ -115,13 +108,14 @@ struct PartitionedVerifyReport {
 /// commit point of every split/merge.
 ///
 /// Appends route by entity under a shared (reader) lock and carry a
-/// global ingest sequence number from one atomic counter; children run
-/// in external-sequencing mode, persisting those seqs through their WALs
-/// and segments. A cross-partition materialize therefore merges child
-/// rows back into exact global ingest order — because the model
-/// factorizes by entity AND replay order is reproduced bit for bit,
-/// posteriors computed against a partitioned store are bit-identical to
-/// a single store's (pinned by test under kernel=reference).
+/// global ingest sequence number from one atomic counter; each child
+/// keeps the seq it is handed (TruthStore::AppendRecords), persisting it
+/// through its WAL and segments. A cross-partition materialize therefore
+/// merges child rows back into exact global ingest order — because the
+/// model factorizes by entity AND replay order is reproduced bit for
+/// bit, posteriors computed against a partitioned store are
+/// bit-identical to a single store's (pinned by test under
+/// kernel=reference).
 ///
 /// CompactOnce() fans the leveled step across partitions, then
 /// rebalances: a partition past split_threshold_rows splits at its
@@ -172,12 +166,6 @@ class PartitionedTruthStore : public TruthStoreBase {
                                     const std::string& attribute)
       const override;
 
-  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const override;
-  Result<Dataset> MaterializeEntityRange(
-      const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr,
-      uint64_t* epoch_out = nullptr) const override;
-
   /// Composite epoch: a rebalance-stable offset plus the sum of the
   /// child epochs — advances on every append and every commit anywhere,
   /// and stays strictly monotone across splits/merges.
@@ -224,7 +212,7 @@ class PartitionedTruthStore : public TruthStoreBase {
   PartitionedTruthStore(std::string dir, PartitionedStoreOptions options);
 
   /// Child options for partition `id` in a layout of `count` partitions
-  /// (external sequencing, partition label, divided cache budgets).
+  /// (partition label, divided cache budgets).
   TruthStoreOptions ChildOptions(uint64_t id, size_t count) const;
 
   uint64_t CompositeEpochLocked() const LTM_REQUIRES_SHARED(table_mu_);
@@ -277,7 +265,7 @@ class PartitionedTruthStore : public TruthStoreBase {
       LTM_GUARDED_BY(table_mu_);
 
   /// Global ingest sequence counter; recovered on open as the max child
-  /// NextRowSeq().
+  /// next_row_seq.
   std::atomic<uint64_t> next_seq_{0};
   /// Keeps the composite epoch strictly monotone across rebalance swaps
   /// (signed: a swap may need to pull the child-epoch sum down).

@@ -18,8 +18,7 @@
 namespace ltm {
 namespace store {
 
-class EpochPin;      // truth_store.h
-class CompositePin;  // partitioned_store.h
+class TruthStoreBase;
 
 /// Read-path counters reported per materialization call.
 struct RangeScanStats {
@@ -67,6 +66,8 @@ struct TruthStoreStats {
   /// Deepest populated level and the L0 (overlapping) segment count.
   uint32_t max_level = 0;
   size_t l0_segments = 0;
+  /// The ingest seq the next append is stamped with (for a partitioned
+  /// store, the router's global counter).
   uint64_t next_row_seq = 0;
   /// Edit records appended since the last manifest snapshot fold.
   uint64_t manifest_edits_since_snapshot = 0;
@@ -82,7 +83,8 @@ struct TruthStoreStats {
 /// Either way the handle freezes a consistent view of the store: reads
 /// through it never race a compaction's file removals and are
 /// bit-reproducible at the captured epoch. Must not outlive the store
-/// that issued it; must only be passed back to that store.
+/// that issued it; must only be passed back to that store, which checks
+/// issuer() and rejects any other pin with InvalidArgument.
 class StorePin {
  public:
   virtual ~StorePin() = default;
@@ -96,15 +98,14 @@ class StorePin {
   /// partition's data does.
   virtual uint64_t epoch() const = 0;
 
-  /// Manual RTTI: the concrete single-store pin, or null. TruthStore
-  /// accepts only pins it issued; the accessor keeps that check a
-  /// virtual call instead of a dynamic_cast.
-  virtual const EpochPin* AsEpochPin() const { return nullptr; }
-  /// Manual RTTI for the partitioned router's composite pin.
-  virtual const CompositePin* AsCompositePin() const { return nullptr; }
+  /// The store that issued this pin.
+  const TruthStoreBase* issuer() const { return issuer_; }
 
  protected:
-  StorePin() = default;
+  explicit StorePin(const TruthStoreBase* issuer) : issuer_(issuer) {}
+
+ private:
+  const TruthStoreBase* issuer_;
 };
 
 /// The polymorphic store surface the serving and streaming layers build
@@ -174,14 +175,20 @@ class TruthStoreBase {
       const StorePin& pin, const std::string& entity,
       const std::string& attribute) const = 0;
 
-  /// Full rebuild in global ingest order. When `epoch_out` is non-null
-  /// it receives the epoch the materialized data corresponds to.
-  virtual Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const = 0;
+  /// Full rebuild in global ingest order: pins the whole store, then
+  /// MaterializeSnapshot. When `epoch_out` is non-null it receives the
+  /// epoch the materialized data corresponds to.
+  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const {
+    return MaterializePinned(nullptr, nullptr, nullptr, epoch_out);
+  }
 
-  /// Rebuild restricted to entities in [min_entity, max_entity].
-  virtual Result<Dataset> MaterializeEntityRange(
+  /// Rebuild restricted to entities in [min_entity, max_entity]: pins
+  /// that range, then MaterializeSnapshot.
+  Result<Dataset> MaterializeEntityRange(
       const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr, uint64_t* epoch_out = nullptr) const = 0;
+      RangeScanStats* stats = nullptr, uint64_t* epoch_out = nullptr) const {
+    return MaterializePinned(&min_entity, &max_entity, stats, epoch_out);
+  }
 
   /// In-memory data version: advances on every append and every manifest
   /// commit (summed over partitions, kept monotone across rebalances).
@@ -217,6 +224,32 @@ class TruthStoreBase {
 
  protected:
   TruthStoreBase() = default;
+
+  /// `pin` as the concrete pin type this store issues, or InvalidArgument
+  /// when another store issued it. A store issues exactly one pin type,
+  /// so a matching issuer makes the downcast safe.
+  template <typename PinT>
+  Result<const PinT*> IssuedPin(const StorePin& pin) const {
+    if (pin.issuer() != this) {
+      return Status::InvalidArgument("pin was not issued by this store");
+    }
+    return static_cast<const PinT*>(&pin);
+  }
+
+ private:
+  /// Pins [*min_entity, *max_entity] (a null bound is open) and
+  /// materializes from the pin — one pass, never retried: the pin keeps
+  /// every segment file it references on disk.
+  Result<Dataset> MaterializePinned(const std::string* min_entity,
+                                    const std::string* max_entity,
+                                    RangeScanStats* stats,
+                                    uint64_t* epoch_out) const {
+    const std::unique_ptr<StorePin> pin = PinSnapshot(min_entity, max_entity);
+    LTM_ASSIGN_OR_RETURN(
+        Dataset ds, MaterializeSnapshot(*pin, min_entity, max_entity, stats));
+    if (epoch_out != nullptr) *epoch_out = pin->epoch();
+    return ds;
+  }
 };
 
 }  // namespace store

@@ -22,6 +22,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Compaction splits its output at entity boundaries near this size.
+constexpr uint64_t kSegmentTargetBytes = 4ull << 20;
+/// The manifest edit log folds into a fresh snapshot every this many
+/// edits.
+constexpr size_t kManifestSnapshotEvery = 32;
+
 /// WallTimer is steady-clock based, so timing here is monitoring-only and
 /// never feeds data-path results (determinism lint R2 allows it).
 uint64_t ElapsedMicros(const WallTimer& timer) {
@@ -129,6 +135,25 @@ std::string WalFileName(uint64_t seq) {
   std::snprintf(buf, sizeof(buf), "wal-%06llu.log",
                 static_cast<unsigned long long>(seq));
   return buf;
+}
+
+WalRecord TruthStore::RawRowRecord(const RawDatabase& raw, const RawRow& row,
+                                   uint64_t seq) {
+  WalRecord record;
+  record.entity = std::string(raw.entities().Get(row.entity));
+  record.attribute = std::string(raw.attributes().Get(row.attribute));
+  record.source = std::string(raw.sources().Get(row.source));
+  record.seq = seq;
+  return record;
+}
+
+Dataset TruthStore::DatasetFromRows(const std::string& dir,
+                                    const std::vector<SegmentRow>& rows) {
+  RawDatabase combined;
+  for (const SegmentRow& row : rows) {
+    combined.Add(row.entity, row.attribute, row.source);
+  }
+  return Dataset::FromRaw("truthstore:" + dir, std::move(combined));
 }
 
 std::string StoreVerifyReport::Summary() const {
@@ -288,6 +313,7 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
   }
   st->manifest_ = std::move(loaded->manifest);
   st->edits_since_snapshot_ = loaded->edits;
+  st->next_seq_ = st->manifest_.next_row_seq;
 
   // Remove droppings of interrupted flushes/compactions: segment files
   // the manifest never committed, rotated-but-uncommitted WALs, temp
@@ -319,12 +345,10 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
             std::to_string(record.observation) +
             " (explicit negative observations are reserved): " + wal_path);
       }
-      const size_t before = st->memtable_.NumRows();
-      st->memtable_.Add(record.entity, record.attribute, record.source);
-      if (options.external_sequencing &&
-          st->memtable_.NumRows() > before) {
+      if (st->memtable_.Add(record.entity, record.attribute, record.source)) {
         st->memtable_seqs_.push_back(record.seq);
       }
+      st->next_seq_ = std::max(st->next_seq_, record.seq + 1);
     }
     st->wal_records_replayed_ = replay.records.size();
   } else {
@@ -341,7 +365,9 @@ Result<std::unique_ptr<TruthStore>> TruthStore::Open(
 
 Status TruthStore::Append(const WalRecord& record) {
   MutexLock lock(mu_);
-  return AppendLocked(record);
+  WalRecord stamped = record;
+  stamped.seq = next_seq_;
+  return AppendLocked(stamped);
 }
 
 Status TruthStore::AppendLocked(const WalRecord& record) {
@@ -352,6 +378,7 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
   }
   WallTimer append_timer;
   LTM_RETURN_IF_ERROR(wal_->Append(record));
+  next_seq_ = std::max(next_seq_, record.seq + 1);
   wal_appends_->Increment();
   wal_append_micros_->Record(ElapsedMicros(append_timer));
   if (options_.sync_every_append) {
@@ -361,9 +388,7 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
     wal_syncs_->Increment();
     wal_sync_micros_->Record(ElapsedMicros(sync_timer));
   }
-  const size_t before = memtable_.NumRows();
-  memtable_.Add(record.entity, record.attribute, record.source);
-  if (options_.external_sequencing && memtable_.NumRows() > before) {
+  if (memtable_.Add(record.entity, record.attribute, record.source)) {
     memtable_seqs_.push_back(record.seq);
   }
   ++epoch_;
@@ -380,24 +405,18 @@ Status TruthStore::AppendRaw(const RawDatabase& raw) {
   {
     MutexLock lock(mu_);
     for (const RawRow& row : raw.rows()) {
-      WalRecord record;
-      record.entity = std::string(raw.entities().Get(row.entity));
-      record.attribute = std::string(raw.attributes().Get(row.attribute));
-      record.source = std::string(raw.sources().Get(row.source));
-      LTM_RETURN_IF_ERROR(AppendLocked(record));
+      LTM_RETURN_IF_ERROR(AppendLocked(RawRowRecord(raw, row, next_seq_)));
     }
   }
   return Sync();
 }
 
 Status TruthStore::AppendRecords(const std::vector<WalRecord>& records) {
-  {
-    MutexLock lock(mu_);
-    for (const WalRecord& record : records) {
-      LTM_RETURN_IF_ERROR(AppendLocked(record));
-    }
+  MutexLock lock(mu_);
+  for (const WalRecord& record : records) {
+    LTM_RETURN_IF_ERROR(AppendLocked(record));
   }
-  return Sync();
+  return Status::OK();
 }
 
 Status TruthStore::Sync() {
@@ -417,11 +436,9 @@ Status TruthStore::Flush() {
 
 Result<bool> TruthStore::CommitVersionLocked(const Manifest& next,
                                              const VersionEdit& edit) {
-  // Fold the edit log into a fresh snapshot every
-  // `manifest_snapshot_every` edits; otherwise append one O(delta) edit
-  // record.
-  const bool fold =
-      edits_since_snapshot_ + 1 >= options_.manifest_snapshot_every;
+  // Fold the edit log into a fresh snapshot every kManifestSnapshotEvery
+  // edits; otherwise append one O(delta) edit record.
+  const bool fold = edits_since_snapshot_ + 1 >= kManifestSnapshotEvery;
   Status st = fold ? CommitManifest(dir_, next) : AppendManifestEdit(dir_, edit);
   bool adopted = false;
   if (!st.ok()) {
@@ -456,28 +473,18 @@ Status TruthStore::FlushLocked() {
   const uint64_t seg_id = manifest_.next_segment_id;
   const std::string file = SegmentFileName(seg_id);
 
-  // Assign contiguous global ingest sequence numbers in memtable row
-  // order (= WAL/ingest order); replay sorts on them, so this is the step
-  // that makes compaction free to reorder rows on disk. Under external
-  // sequencing the rows already carry router-assigned global seqs
-  // (tracked in memtable_seqs_), so those are persisted instead and the
-  // next_row_seq watermark advances past the largest one.
+  // Every row keeps the seq it was stamped with at append; replay sorts
+  // on them, so compaction is free to reorder rows on disk. The
+  // manifest's next_row_seq watermark advances to the append counter.
   std::vector<SegmentRow> rows;
   rows.reserve(memtable_.NumRows());
-  uint64_t seq = manifest_.next_row_seq;
-  size_t row_idx = 0;
-  for (const RawRow& row : memtable_.rows()) {
+  for (size_t i = 0; i < memtable_.NumRows(); ++i) {
+    const RawRow& row = memtable_.rows()[i];
     SegmentRow r;
     r.entity = std::string(memtable_.entities().Get(row.entity));
     r.attribute = std::string(memtable_.attributes().Get(row.attribute));
     r.source = std::string(memtable_.sources().Get(row.source));
-    if (options_.external_sequencing) {
-      r.seq = memtable_seqs_[row_idx];
-      seq = std::max(seq, r.seq + 1);
-    } else {
-      r.seq = seq++;
-    }
-    ++row_idx;
+    r.seq = memtable_seqs_[i];
     r.observation = 1;
     rows.push_back(std::move(r));
   }
@@ -501,7 +508,7 @@ Status TruthStore::FlushLocked() {
   edit.next_segment_id = seg_id + 1;
   edit.wal_seq = new_wal_seq;
   edit.wal_file = WalFileName(new_wal_seq);
-  edit.next_row_seq = seq;
+  edit.next_row_seq = next_seq_;
   edit.added.push_back(MakeSegmentInfo(seg_id, file, /*level=*/0, built));
   Manifest next = manifest_;
   LTM_RETURN_IF_ERROR(ApplyVersionEdit(&next, edit, "flush commit"));
@@ -691,7 +698,7 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
     unique_rows.push_back(std::move(row));
   }
 
-  // Split the output at entity boundaries near segment_target_bytes so
+  // Split the output at entity boundaries near kSegmentTargetBytes so
   // levels >= 1 stay made of bounded, non-overlapping segments. An
   // entity never straddles two outputs.
   std::vector<std::vector<SegmentRow>> groups;
@@ -700,7 +707,7 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   for (SegmentRow& row : unique_rows) {
     const uint64_t row_bytes =
         row.entity.size() + row.attribute.size() + row.source.size() + 16;
-    if (group_bytes >= options_.segment_target_bytes &&
+    if (group_bytes >= kSegmentTargetBytes &&
         !groups.back().empty() && row.entity != groups.back().back().entity) {
       groups.emplace_back();
       group_bytes = 0;
@@ -829,7 +836,17 @@ TruthStore::~TruthStore() {
   }
 }
 
-EpochPin::~EpochPin() { store_->ReleasePin(*this); }
+EpochPin::EpochPin(const TruthStore* store, uint64_t epoch,
+                   std::vector<SegmentInfo> segments,
+                   std::vector<WalRecord> memtable_rows)
+    : StorePin(store),
+      epoch_(epoch),
+      segments_(std::move(segments)),
+      memtable_rows_(std::move(memtable_rows)) {}
+
+EpochPin::~EpochPin() {
+  static_cast<const TruthStore*>(issuer())->ReleasePin(*this);
+}
 
 std::unique_ptr<EpochPin> TruthStore::PinEpoch(
     const std::string* min_entity, const std::string* max_entity) const {
@@ -842,13 +859,10 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
     epoch = epoch_;
     // Copy out only the rows the query needs — a point read must not
     // stall concurrent appends for a full-memtable copy. Each copied row
-    // carries its global ingest seq: the router-assigned one under
-    // external sequencing, else the provisional seq the next flush would
-    // assign — either way every pinned row is totally ordered by seq,
-    // with memtable rows sorting after all committed segment rows.
-    size_t row_idx = 0;
-    for (const RawRow& row : memtable_.rows()) {
-      const size_t idx = row_idx++;
+    // carries the ingest seq it was stamped with at append, so every
+    // pinned row is totally ordered by seq.
+    for (size_t i = 0; i < memtable_.NumRows(); ++i) {
+      const RawRow& row = memtable_.rows()[i];
       const std::string_view entity = memtable_.entities().Get(row.entity);
       if ((min_entity != nullptr && entity < *min_entity) ||
           (max_entity != nullptr && entity > *max_entity)) {
@@ -858,9 +872,7 @@ std::unique_ptr<EpochPin> TruthStore::PinEpoch(
       record.entity = std::string(entity);
       record.attribute = std::string(memtable_.attributes().Get(row.attribute));
       record.source = std::string(memtable_.sources().Get(row.source));
-      record.seq = options_.external_sequencing
-                       ? memtable_seqs_[idx]
-                       : manifest_.next_row_seq + idx;
+      record.seq = memtable_seqs_[i];
       memtable_rows.push_back(std::move(record));
     }
     // Reference every captured segment so a compaction that supersedes
@@ -952,9 +964,9 @@ Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
     scan.block_cache_hits += rs.blocks_from_cache;
     scan.bytes_read += rs.bytes_read;
   }
-  // The pin's memtable rows already carry seqs that sort after every
-  // committed segment row (see PinEpoch), so one uniform sort recovers
-  // global ingest order across segments AND the memtable.
+  // The pin's memtable rows carry their seqs too (see PinEpoch), so one
+  // uniform sort recovers global ingest order across segments AND the
+  // memtable.
   for (const WalRecord& record : pin.memtable_rows()) {
     if ((min_entity != nullptr && record.entity < *min_entity) ||
         (max_entity != nullptr && record.entity > *max_entity)) {
@@ -971,41 +983,9 @@ Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
   // Rows arrived in per-segment key order; global ingest-sequence order
   // is the replay order that keeps posteriors bit-identical to a batch
   // load (sequence numbers are unique, so this sort has one answer).
-  std::sort(rows.begin(), rows.end(),
-            [](const SegmentRow& a, const SegmentRow& b) {
-              return a.seq < b.seq;
-            });
+  std::sort(rows.begin(), rows.end(), SegmentRowSeqOrder);
   if (stats != nullptr) *stats = scan;
   return rows;
-}
-
-Result<Dataset> TruthStore::MaterializeFromPin(
-    const EpochPin& pin, const std::string* min_entity,
-    const std::string* max_entity, RangeScanStats* stats) const {
-  LTM_ASSIGN_OR_RETURN(
-      const std::vector<SegmentRow> rows,
-      CollectPinnedRows(pin, min_entity, max_entity, stats));
-  RawDatabase combined;
-  for (const SegmentRow& row : rows) {
-    combined.Add(row.entity, row.attribute, row.source);
-  }
-  return Dataset::FromRaw("truthstore:" + dir_, std::move(combined));
-}
-
-Result<bool> TruthStore::PinnedFactMayExist(const EpochPin& pin,
-                                            const std::string& entity,
-                                            const std::string& attribute) const {
-  for (const WalRecord& record : pin.memtable_rows()) {
-    if (record.entity == entity && record.attribute == attribute) return true;
-  }
-  for (const SegmentInfo& seg : pin.segments()) {
-    if (seg.max_entity < entity || seg.min_entity > entity) continue;
-    LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
-                         GetReader(seg));
-    if (reader->MayContainFact(entity, attribute)) return true;
-  }
-  bloom_point_skips_->Increment();
-  return false;
 }
 
 std::unique_ptr<StorePin> TruthStore::PinSnapshot(
@@ -1016,46 +996,28 @@ std::unique_ptr<StorePin> TruthStore::PinSnapshot(
 Result<Dataset> TruthStore::MaterializeSnapshot(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
-  const EpochPin* epoch_pin = pin.AsEpochPin();
-  if (epoch_pin == nullptr || epoch_pin->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
-  }
-  return MaterializeFromPin(*epoch_pin, min_entity, max_entity, stats);
+  LTM_ASSIGN_OR_RETURN(const EpochPin* epoch_pin, IssuedPin<EpochPin>(pin));
+  LTM_ASSIGN_OR_RETURN(
+      const std::vector<SegmentRow> rows,
+      CollectPinnedRows(*epoch_pin, min_entity, max_entity, stats));
+  return DatasetFromRows(dir_, rows);
 }
 
 Result<bool> TruthStore::SnapshotFactMayExist(
     const StorePin& pin, const std::string& entity,
     const std::string& attribute) const {
-  const EpochPin* epoch_pin = pin.AsEpochPin();
-  if (epoch_pin == nullptr || epoch_pin->store_ != this) {
-    return Status::InvalidArgument("pin was not issued by this store");
+  LTM_ASSIGN_OR_RETURN(const EpochPin* epoch_pin, IssuedPin<EpochPin>(pin));
+  for (const WalRecord& record : epoch_pin->memtable_rows()) {
+    if (record.entity == entity && record.attribute == attribute) return true;
   }
-  return PinnedFactMayExist(*epoch_pin, entity, attribute);
-}
-
-Result<Dataset> TruthStore::Materialize(uint64_t* epoch_out) const {
-  return MaterializeImpl(nullptr, nullptr, nullptr, epoch_out);
-}
-
-Result<Dataset> TruthStore::MaterializeEntityRange(
-    const std::string& min_entity, const std::string& max_entity,
-    RangeScanStats* stats, uint64_t* epoch_out) const {
-  return MaterializeImpl(&min_entity, &max_entity, stats, epoch_out);
-}
-
-Result<Dataset> TruthStore::MaterializeImpl(const std::string* min_entity,
-                                            const std::string* max_entity,
-                                            RangeScanStats* stats,
-                                            uint64_t* epoch_out) const {
-  // Pinning replaces the old snapshot-and-retry dance: a concurrent
-  // compaction cannot delete a segment file this read references, so one
-  // pass always succeeds (any load failure is true corruption).
-  const std::unique_ptr<EpochPin> pin = PinEpoch(min_entity, max_entity);
-  LTM_ASSIGN_OR_RETURN(Dataset ds,
-                       MaterializeFromPin(*pin, min_entity, max_entity,
-                                          stats));
-  if (epoch_out != nullptr) *epoch_out = pin->epoch();
-  return ds;
+  for (const SegmentInfo& seg : epoch_pin->segments()) {
+    if (seg.max_entity < entity || seg.min_entity > entity) continue;
+    LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
+                         GetReader(seg));
+    if (reader->MayContainFact(entity, attribute)) return true;
+  }
+  bloom_point_skips_->Increment();
+  return false;
 }
 
 uint64_t TruthStore::epoch() const {
@@ -1078,7 +1040,7 @@ TruthStoreStats TruthStore::Stats() const {
     stats.deferred_segments = deferred_segments_.size();
     stats.max_level = manifest_.MaxLevel();
     stats.l0_segments = manifest_.NumSegmentsAtLevel(0);
-    stats.next_row_seq = manifest_.next_row_seq;
+    stats.next_row_seq = next_seq_;
     stats.manifest_edits_since_snapshot = edits_since_snapshot_;
     stats.compaction.compactions = compactions_->Value();
     stats.compaction.trivial_moves = compaction_trivial_moves_->Value();
@@ -1106,15 +1068,6 @@ size_t TruthStore::num_pinned_epochs() const {
 size_t TruthStore::num_deferred_segments() const {
   MutexLock lock(mu_);
   return deferred_segments_.size();
-}
-
-uint64_t TruthStore::NextRowSeq() const {
-  MutexLock lock(mu_);
-  uint64_t next = manifest_.next_row_seq;
-  for (const uint64_t seq : memtable_seqs_) {
-    next = std::max(next, seq + 1);
-  }
-  return next;
 }
 
 Result<StoreVerifyReport> TruthStore::Verify(const std::string& dir) {

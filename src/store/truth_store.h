@@ -52,20 +52,6 @@ struct TruthStoreOptions {
   size_t l0_compaction_trigger = 4;
   /// Byte budget of L1; each deeper level gets 10x the previous.
   uint64_t level_base_bytes = 4ull << 20;
-  /// Compaction splits its output at entity boundaries near this size.
-  uint64_t segment_target_bytes = 4ull << 20;
-  /// Fold the manifest edit log into a fresh snapshot every N edits.
-  size_t manifest_snapshot_every = 32;
-
-  /// Router-assigned ingest sequence numbers. Off (the default): the
-  /// store assigns contiguous sequence numbers itself at flush time.
-  /// On — the PartitionedTruthStore child mode — every Append must carry
-  /// the caller's global sequence number in WalRecord::seq; the store
-  /// persists it in the (version-2) WAL, carries it through flush into
-  /// segment rows, and Materialize orders rows by it. This is what makes
-  /// a cross-partition merge reproduce the router's global ingest order
-  /// bit for bit.
-  bool external_sequencing = false;
 
   /// Label text merged into every `ltm_store_*` metric name this store
   /// registers (e.g. `partition="3"` makes
@@ -93,10 +79,10 @@ class TruthStore;
 /// a superseded segment reclaims its file.
 ///
 /// Obtained from TruthStore::PinEpoch(); read via
-/// TruthStore::MaterializeFromPin(). A pin created with entity bounds
+/// TruthStore::MaterializeSnapshot(). A pin created with entity bounds
 /// only holds the memtable rows inside those bounds — materializing a
 /// wider range from it would silently miss rows, so keep requests within
-/// the pin's bounds (MaterializeFromPin re-applies its own bounds on top).
+/// the pin's bounds (MaterializeSnapshot re-applies its own bounds on top).
 ///
 /// Thread-safe for concurrent reads; the handle itself must be destroyed
 /// on one thread. Must not outlive the TruthStore that issued it.
@@ -111,7 +97,6 @@ class EpochPin : public StorePin {
 
   /// The store epoch this pin captured (for posterior-cache keying).
   uint64_t epoch() const override { return epoch_; }
-  const EpochPin* AsEpochPin() const override { return this; }
   const std::vector<SegmentInfo>& segments() const { return segments_; }
   const std::vector<WalRecord>& memtable_rows() const {
     return memtable_rows_;
@@ -121,13 +106,8 @@ class EpochPin : public StorePin {
   friend class TruthStore;
   EpochPin(const TruthStore* store, uint64_t epoch,
            std::vector<SegmentInfo> segments,
-           std::vector<WalRecord> memtable_rows)
-      : store_(store),
-        epoch_(epoch),
-        segments_(std::move(segments)),
-        memtable_rows_(std::move(memtable_rows)) {}
+           std::vector<WalRecord> memtable_rows);
 
-  const TruthStore* store_;
   uint64_t epoch_;
   std::vector<SegmentInfo> segments_;
   std::vector<WalRecord> memtable_rows_;
@@ -154,8 +134,8 @@ struct StoreVerifyReport {
 ///
 ///   Append ─► WAL (checksummed records, group-commit fsync)
 ///          └► memtable (an in-memory RawDatabase delta)
-///   Flush  ─► the memtable's rows get contiguous global ingest sequence
-///             numbers and become an immutable block segment at L0
+///   Flush  ─► the memtable's rows, each keeping its ingest sequence
+///             number, become an immutable block segment at L0
 ///             (restartable prefix-compressed blocks + block index +
 ///             bloom filter, see segment.h) + the WAL rotates + one
 ///             version-edit record appends to the MANIFEST
@@ -167,23 +147,31 @@ struct StoreVerifyReport {
 ///   Compact ─► major: every segment merges into the bottom level.
 ///
 /// Every commit appends one checksummed version-edit record (O(delta),
-/// not O(segments)), folding into a fresh snapshot every
-/// `manifest_snapshot_every` edits via the atomic temp + fsync + rename
+/// not O(segments)), folding into a fresh snapshot every 32 edits
+/// (kManifestSnapshotEvery) via the atomic temp + fsync + rename
 /// protocol — so every crash lands on a well-defined state: the committed
 /// segment set plus the active WAL's intact record prefix. Open() replays
 /// that WAL tail over the newest segment set, truncates any torn WAL or
 /// MANIFEST suffix, and removes orphan files from interrupted
 /// flushes/compactions.
 ///
-/// Replay order is carried by the rows themselves: every row holds the
-/// global ingest sequence number assigned at flush. Materialize() sorts
-/// the selected rows by that sequence and re-adds them in order — the
-/// exact row order batch ingestion would have seen, regardless of which
-/// level compaction moved a row to — so downstream posteriors are
-/// bit-identical to a one-shot batch load. Point reads go bloom filter →
-/// block index binary search → ONE data block (through the shared block
-/// cache); MaterializeEntityRange() additionally skips whole segments via
-/// manifest zone stats.
+/// Replay order is carried by the rows themselves. One sequencing rule:
+/// every record is stamped with its ingest sequence number ("seq") when
+/// it is appended, and the seq travels with the row through the WAL, the
+/// memtable, flush and compaction. Append() and AppendRaw() take the next
+/// value of the store's own counter; the partitioned router instead
+/// hands its children records carrying the global seqs it assigned
+/// (AppendRecords, reachable only by the router). On Open the counter
+/// recovers as the max of the manifest's next_row_seq and every replayed
+/// WAL seq + 1, so seqs never repeat across a crash. A duplicate
+/// (entity, attribute, source) row keeps its first occurrence's seq.
+/// Materialize() sorts the selected rows by seq and re-adds them in
+/// order — the exact row order batch ingestion would have seen,
+/// regardless of which level compaction moved a row to — so downstream
+/// posteriors are bit-identical to a one-shot batch load. Point reads go
+/// bloom filter → block index binary search → ONE data block (through the
+/// shared block cache); MaterializeEntityRange() additionally skips whole
+/// segments via manifest zone stats.
 ///
 /// Thread-safe: appends, flushes, reads, and one background compaction
 /// may run concurrently. Not multi-process-safe — one TruthStore instance
@@ -206,22 +194,15 @@ class TruthStore : public TruthStoreBase {
   /// Appends one observation: WAL first, then the memtable. Records with
   /// observation != 1 are rejected (explicit negative claims are reserved
   /// in the record format but not yet served). May trigger an auto-flush
-  /// per `memtable_flush_rows`. Under external_sequencing the record's
-  /// `seq` is persisted as given; otherwise it is ignored (flush assigns
-  /// sequence numbers).
+  /// per `memtable_flush_rows`. The record's `seq` is ignored: the store
+  /// stamps the next value of its own counter.
   Status Append(const WalRecord& record) override LTM_EXCLUDES(mu_);
 
-  /// Appends every row of `raw` (in row order) and then Sync()s — one
-  /// durable group commit per chunk. The ingest fast path: no fact table
-  /// or claim graph is needed or built.
+  /// Appends every row of `raw` (in row order, each stamped from the
+  /// store's counter) and then Sync()s — one durable group commit per
+  /// chunk. The ingest fast path: no fact table or claim graph is needed
+  /// or built.
   Status AppendRaw(const RawDatabase& raw) override LTM_EXCLUDES(mu_);
-
-  /// Appends `records` in order under one lock hold, then Sync()s — the
-  /// batched group-commit path the partitioned router uses after
-  /// splitting a chunk by entity range (each record carrying its
-  /// router-assigned seq).
-  Status AppendRecords(const std::vector<WalRecord>& records)
-      LTM_EXCLUDES(mu_);
 
   /// Makes all buffered appends durable (WAL fsync).
   Status Sync() override LTM_EXCLUDES(mu_);
@@ -233,7 +214,7 @@ class TruthStore : public TruthStoreBase {
   /// Major compaction: merges every segment into the bottom level
   /// (duplicate (entity, attribute, source) rows collapse to their
   /// first-ingested occurrence), splitting outputs at entity boundaries
-  /// near `segment_target_bytes`. No-op with fewer than two segments.
+  /// near 4 MiB (kSegmentTargetBytes). No-op with fewer than two segments.
   /// Appends may proceed concurrently; segments flushed while the merge
   /// runs survive unmerged. At most one compaction (sync or async) at a
   /// time — a second concurrent call fails with FailedPrecondition.
@@ -264,31 +245,27 @@ class TruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const LTM_EXCLUDES(mu_);
 
+  // TruthStoreBase snapshot surface. PinSnapshot is PinEpoch behind the
+  // base type; a pin passed back must be one this store issued
+  // (InvalidArgument otherwise).
+  std::unique_ptr<StorePin> PinSnapshot(
+      const std::string* min_entity = nullptr,
+      const std::string* max_entity = nullptr) const override;
+
   /// Materializes from a pinned snapshot: collects the in-range rows of
   /// every zone-overlapping segment (bloom-skipping segments on point
-  /// reads, reading only index-selected blocks through the block cache),
-  /// sorts them by global ingest sequence, re-adds them in that order,
-  /// then appends the pin's memtable rows — the same replay order a
-  /// sequential materialize at the pin's epoch uses, so posteriors
-  /// computed from a pin are bit-identical. Never retries: the pin's
-  /// refcounts guarantee every referenced segment file still exists.
-  /// `min_entity`/`max_entity` further restrict the read (must be within
-  /// the pin's own bounds, if it has them).
-  Result<Dataset> MaterializeFromPin(const EpochPin& pin,
-                                     const std::string* min_entity = nullptr,
-                                     const std::string* max_entity = nullptr,
-                                     RangeScanStats* stats = nullptr) const;
-
-  /// The raw rows behind a pin — every in-range segment row plus the
-  /// pin's memtable rows, each carrying its ingest sequence number,
-  /// sorted by sequence. The building block of the partitioned store's
-  /// cross-partition k-way merge (child memtable rows only carry
-  /// meaningful seqs under external_sequencing). The rows are NOT
-  /// deduplicated; callers replay them through a RawDatabase in order.
-  Result<std::vector<SegmentRow>> CollectPinnedRows(
-      const EpochPin& pin, const std::string* min_entity = nullptr,
+  /// reads, reading only index-selected blocks through the block cache)
+  /// plus the pin's memtable rows, sorts them by ingest seq and re-adds
+  /// them in that order — the same replay order a sequential materialize
+  /// at the pin's epoch uses, so posteriors computed from a pin are
+  /// bit-identical. Never retries: the pin's refcounts guarantee every
+  /// referenced segment file still exists. `min_entity`/`max_entity`
+  /// further restrict the read (must be within the pin's own bounds, if
+  /// it has them).
+  Result<Dataset> MaterializeSnapshot(
+      const StorePin& pin, const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const;
+      RangeScanStats* stats = nullptr) const override;
 
   /// Bloom-only point probe: can fact (entity, attribute) possibly exist
   /// at the pin's epoch? Checks the pin's memtable rows exactly, then
@@ -297,37 +274,10 @@ class TruthStore : public TruthStoreBase {
   /// negatives), so the caller can serve the no-claim prior without
   /// materializing anything; such all-negative probes are counted in
   /// TruthStoreStats::bloom_point_skips.
-  Result<bool> PinnedFactMayExist(const EpochPin& pin,
-                                  const std::string& entity,
-                                  const std::string& attribute) const;
-
-  // TruthStoreBase snapshot surface: the polymorphic spellings of
-  // PinEpoch / MaterializeFromPin / PinnedFactMayExist. A pin passed
-  // back must be one this store issued (checked, InvalidArgument).
-  std::unique_ptr<StorePin> PinSnapshot(
-      const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr) const override;
-  Result<Dataset> MaterializeSnapshot(
-      const StorePin& pin, const std::string* min_entity = nullptr,
-      const std::string* max_entity = nullptr,
-      RangeScanStats* stats = nullptr) const override;
   Result<bool> SnapshotFactMayExist(const StorePin& pin,
                                     const std::string& entity,
                                     const std::string& attribute)
       const override;
-
-  /// Full rebuild: all rows in global ingest-sequence order, then the
-  /// memtable. When `epoch_out` is non-null it receives the epoch the
-  /// materialized data corresponds to (for posterior-cache keying).
-  Result<Dataset> Materialize(uint64_t* epoch_out = nullptr) const override;
-
-  /// Rebuild restricted to entities with lexicographic key in
-  /// [min_entity, max_entity], skipping segments whose zone stats exclude
-  /// the range entirely and reading only index-selected blocks.
-  Result<Dataset> MaterializeEntityRange(
-      const std::string& min_entity, const std::string& max_entity,
-      RangeScanStats* stats = nullptr,
-      uint64_t* epoch_out = nullptr) const override;
 
   /// In-memory data version: advances on every append and every manifest
   /// commit. Keys the posterior cache.
@@ -343,12 +293,6 @@ class TruthStore : public TruthStoreBase {
   size_t num_pinned_epochs() const override LTM_EXCLUDES(mu_);
   /// Superseded segments whose files are retained for live pins.
   size_t num_deferred_segments() const LTM_EXCLUDES(mu_);
-
-  /// The next ingest sequence number this store would accept/assign:
-  /// manifest next_row_seq, or one past the largest externally sequenced
-  /// row still in the memtable. The partitioned router recovers its
-  /// global sequence counter from the max of this over all children.
-  uint64_t NextRowSeq() const LTM_EXCLUDES(mu_);
 
   PosteriorCache& posterior_cache() { return cache_; }
   PosteriorCache& posterior_cache_for(std::string_view entity) override {
@@ -378,14 +322,44 @@ class TruthStore : public TruthStoreBase {
 
  private:
   friend class EpochPin;
+  friend class PartitionedTruthStore;
 
   TruthStore(std::string dir, TruthStoreOptions options);
+
+  /// Appends `records` in order under one lock hold, each keeping the
+  /// seq its caller assigned (the counter advances past the largest).
+  /// Does not sync. The partitioned router's path: it splits a chunk by
+  /// entity range and hands each child its slice.
+  Status AppendRecords(const std::vector<WalRecord>& records)
+      LTM_EXCLUDES(mu_);
+
+  /// The WAL record for `row` of `raw`, stamped with ingest seq `seq` —
+  /// the one RawRow-to-record conversion both stores' AppendRaw use.
+  static WalRecord RawRowRecord(const RawDatabase& raw, const RawRow& row,
+                                uint64_t seq);
+
+  /// Replays seq-sorted rows into a Dataset (duplicates collapse onto
+  /// their first, lowest-seq occurrence) — the one row-to-Dataset step
+  /// both stores' MaterializeSnapshot end with. `dir` names the store.
+  static Dataset DatasetFromRows(const std::string& dir,
+                                 const std::vector<SegmentRow>& rows);
+
+  /// The raw rows behind a pin — every in-range segment row plus the
+  /// pin's memtable rows, each carrying its ingest seq, sorted by seq.
+  /// NOT deduplicated; DatasetFromRows replays them. Also the input of
+  /// the partitioned store's cross-partition merge and rebalance copies.
+  Result<std::vector<SegmentRow>> CollectPinnedRows(
+      const EpochPin& pin, const std::string* min_entity = nullptr,
+      const std::string* max_entity = nullptr,
+      RangeScanStats* stats = nullptr) const;
 
   /// EpochPin's destructor: drops the pin's segment references and
   /// deletes any deferred segment file whose last reference this was.
   void ReleasePin(const EpochPin& pin) const LTM_EXCLUDES(mu_);
 
   Status FlushLocked() LTM_REQUIRES(mu_);
+  /// Appends `record` as stamped (its seq included) to the WAL and the
+  /// memtable, advancing next_seq_ past it.
   Status AppendLocked(const WalRecord& record) LTM_REQUIRES(mu_);
   /// Merges `inputs` into `output_level`, commits, and defers or deletes
   /// the superseded files. Runs with the compacting_ flag held; takes and
@@ -396,7 +370,7 @@ class TruthStore : public TruthStoreBase {
   Status TrivialMoveInner(const SegmentInfo& seg, uint32_t output_level)
       LTM_EXCLUDES(mu_);
   /// Commits `next` (already validated), appending `edit` or folding the
-  /// log into a snapshot per `manifest_snapshot_every`. Returns false for
+  /// log into a snapshot per kManifestSnapshotEvery. Returns false for
   /// a clean commit, true when the new state is visible on disk but its
   /// durability degraded (the caller must then keep superseded files so a
   /// power-loss rollback still finds them). Other failures propagate.
@@ -412,24 +386,19 @@ class TruthStore : public TruthStoreBase {
   std::string SegmentPath(const SegmentInfo& seg) const;
   std::string WalPath(const std::string& file) const;
 
-  /// Shared body of Materialize / MaterializeEntityRange; a null bound
-  /// means unbounded on that side.
-  Result<Dataset> MaterializeImpl(const std::string* min_entity,
-                                  const std::string* max_entity,
-                                  RangeScanStats* stats,
-                                  uint64_t* epoch_out) const;
-
   const std::string dir_;
   const TruthStoreOptions options_;
 
   mutable Mutex mu_;
   Manifest manifest_ LTM_GUARDED_BY(mu_);
   RawDatabase memtable_ LTM_GUARDED_BY(mu_);
-  /// Under external_sequencing: the caller-assigned seq of memtable row
-  /// i (the memtable dedups, so a seq is recorded only when its Add grew
-  /// the row count — keeping the FIRST occurrence's seq, the same rule
-  /// compaction applies). Empty in internal mode.
+  /// The ingest seq of memtable row i (the memtable dedups, so a seq is
+  /// recorded only when its Add grew the row count — keeping the FIRST
+  /// occurrence's seq, the same rule compaction applies).
   std::vector<uint64_t> memtable_seqs_ LTM_GUARDED_BY(mu_);
+  /// The seq Append/AppendRaw stamp next; always above every seq this
+  /// store has logged.
+  uint64_t next_seq_ LTM_GUARDED_BY(mu_) = 0;
   std::optional<WalWriter> wal_ LTM_GUARDED_BY(mu_);
   uint64_t epoch_ LTM_GUARDED_BY(mu_) = 0;
   uint64_t wal_records_replayed_ LTM_GUARDED_BY(mu_) = 0;
@@ -480,7 +449,7 @@ class TruthStore : public TruthStoreBase {
   obs::Counter* compaction_bytes_written_;
   obs::Counter* compaction_rows_dropped_;
   obs::Histogram* compaction_micros_;
-  /// All-negative PinnedFactMayExist probes (zero blocks read).
+  /// All-negative SnapshotFactMayExist probes (zero blocks read).
   obs::Counter* bloom_point_skips_;
   obs::Gauge* epoch_gauge_;
   obs::Gauge* memtable_rows_gauge_;

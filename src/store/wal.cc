@@ -23,13 +23,28 @@ namespace {
 
 constexpr size_t kRecordHeaderSize = 12;  // u32 size + u64 checksum
 
-std::string HeaderForVersion(uint32_t version) {
+std::string CanonicalHeader() {
   std::string header(kWalMagic, 4);
-  header.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  header.append(reinterpret_cast<const char*>(&kWalVersion),
+                sizeof(kWalVersion));
   return header;
 }
 
-std::string CanonicalHeader() { return HeaderForVersion(kWalVersion); }
+/// Accepts exactly the version-2 header; `header` holds kWalHeaderSize
+/// bytes. Shared by the writer and the reader so both reject the same
+/// files with the same messages.
+Status CheckHeader(std::string_view header, const std::string& path) {
+  if (header == CanonicalHeader()) return Status::OK();
+  if (std::memcmp(header.data(), kWalMagic, 4) != 0) {
+    return Status::InvalidArgument("corrupt WAL: bad header magic: " + path);
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, header.data() + 4, sizeof(version));
+  return Status::InvalidArgument("unsupported WAL version " +
+                                 std::to_string(version) +
+                                 " (this build reads and writes version " +
+                                 std::to_string(kWalVersion) + "): " + path);
+}
 
 }  // namespace
 
@@ -38,32 +53,22 @@ Result<WalWriter> WalWriter::Open(const std::string& path) {
   const uint64_t existing = std::filesystem::exists(path, ec)
                                 ? std::filesystem::file_size(path, ec)
                                 : 0;
-  // Appends must match the record format of an existing log, so peek at
-  // the header version before opening for append. A version this build
-  // cannot WRITE is rejected here; ReplayWal owns read-side validation.
-  uint32_t version = kWalVersion;
+  // Appending to an existing log: its header must be the one this build
+  // writes, so a log never mixes record formats.
   if (existing >= kWalHeaderSize) {
     std::ifstream in(path, std::ios::binary);
     char header[kWalHeaderSize] = {};
     if (!in.read(header, kWalHeaderSize)) {
       return Status::IOError("cannot read WAL header: " + path);
     }
-    if (std::memcmp(header, kWalMagic, 4) != 0) {
-      return Status::InvalidArgument("corrupt WAL: bad header magic: " + path);
-    }
-    std::memcpy(&version, header + 4, sizeof(version));
-    if (version != kWalVersion && version != kWalLegacyVersion) {
-      return Status::InvalidArgument(
-          "unsupported WAL version " + std::to_string(version) +
-          " (this build writes version " + std::to_string(kWalVersion) +
-          "): " + path);
-    }
+    LTM_RETURN_IF_ERROR(
+        CheckHeader(std::string_view(header, kWalHeaderSize), path));
   }
   std::FILE* file = std::fopen(path.c_str(), "ab");
   if (file == nullptr) {
     return Status::IOError("cannot open WAL for appending: " + path);
   }
-  WalWriter writer(file, path, version);
+  WalWriter writer(file, path);
   if (existing < kWalHeaderSize) {
     // New or header-torn file: (re)write the header. fopen("ab") appends,
     // so a partial header must have been truncated away by the caller;
@@ -86,7 +91,6 @@ Result<WalWriter> WalWriter::Open(const std::string& path) {
 WalWriter::WalWriter(WalWriter&& other) noexcept
     : file_(other.file_),
       path_(std::move(other.path_)),
-      version_(other.version_),
       appended_(other.appended_) {
   other.file_ = nullptr;
 }
@@ -96,7 +100,6 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     if (file_ != nullptr) std::fclose(file_);
     file_ = other.file_;
     path_ = std::move(other.path_);
-    version_ = other.version_;
     appended_ = other.appended_;
     other.file_ = nullptr;
   }
@@ -111,7 +114,7 @@ Status WalWriter::Append(const WalRecord& record) {
   LTM_RETURN_IF_ERROR(FailpointCheck("wal-append"));
   ByteWriter payload;
   payload.PutU8(record.observation);
-  if (version_ >= 2) payload.PutU64(record.seq);
+  payload.PutU64(record.seq);
   payload.PutString(record.entity);
   payload.PutString(record.attribute);
   payload.PutString(record.source);
@@ -153,34 +156,20 @@ Result<WalReplay> ReplayWal(const std::string& path) {
 
 Result<WalReplay> ReplayWalBytes(std::string_view file,
                                  const std::string& path) {
-  const std::string canonical = CanonicalHeader();
-  const std::string legacy = HeaderForVersion(kWalLegacyVersion);
   if (file.size() < kWalHeaderSize) {
     // A header prefix (including an empty file) is a torn fresh WAL:
-    // zero records were ever durable. Anything else is corruption. Both
-    // readable header versions count as valid prefixes.
-    if (canonical.compare(0, file.size(), file) != 0 &&
-        legacy.compare(0, file.size(), file) != 0) {
-      return Status::InvalidArgument("corrupt WAL: bad header magic: " + path);
+    // zero records were ever durable. Anything else is corruption.
+    if (CanonicalHeader().compare(0, file.size(), file) != 0) {
+      return Status::InvalidArgument(
+          "corrupt WAL: short header is not a prefix of the version " +
+          std::to_string(kWalVersion) + " header: " + path);
     }
     WalReplay replay;
     replay.valid_bytes = 0;
     replay.torn_tail = !file.empty();  // an empty file drops no bytes
     return replay;
   }
-  uint32_t version = kWalVersion;
-  if (file.compare(0, kWalHeaderSize, canonical) != 0) {
-    if (std::memcmp(file.data(), kWalMagic, 4) != 0) {
-      return Status::InvalidArgument("corrupt WAL: bad header magic: " + path);
-    }
-    std::memcpy(&version, file.data() + 4, sizeof(version));
-    if (version != kWalLegacyVersion) {
-      return Status::InvalidArgument(
-          "unsupported WAL version " + std::to_string(version) +
-          " (this build reads versions " + std::to_string(kWalLegacyVersion) +
-          "-" + std::to_string(kWalVersion) + "): " + path);
-    }
-  }
+  LTM_RETURN_IF_ERROR(CheckHeader(file.substr(0, kWalHeaderSize), path));
 
   WalReplay replay;
   size_t pos = kWalHeaderSize;
@@ -202,11 +191,9 @@ Result<WalReplay> ReplayWalBytes(std::string_view file,
     auto obs = reader.GetU8();
     if (!obs.ok()) break;
     record.observation = *obs;
-    if (version >= 2) {
-      auto seq = reader.GetU64();
-      if (!seq.ok()) break;
-      record.seq = *seq;
-    }
+    auto seq = reader.GetU64();
+    if (!seq.ok()) break;
+    record.seq = *seq;
     auto entity = reader.GetString();
     auto attribute = reader.GetString();
     auto source = reader.GetString();

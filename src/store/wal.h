@@ -15,21 +15,19 @@ namespace store {
 /// Append-only, checksummed write-ahead log of claim observations — the
 /// TruthStore's durable ingest path. One record per observation:
 ///
-///   file header, 8 bytes: magic "LTMW" + uint32 format version
+///   file header, 8 bytes: magic "LTMW" + uint32 format version (2)
 ///   record: uint32 payload size, uint64 FNV-1a 64 checksum of the
 ///           payload, payload:
 ///             uint8 observation bit (1 = assertion; 0 reserved)
-///             uint64 ingest sequence number       (version 2 only)
+///             uint64 ingest sequence number
 ///             uint32 len + bytes   entity
 ///             uint32 len + bytes   attribute
 ///             uint32 len + bytes   source
 ///
-/// Version 2 added the per-record ingest sequence number so an
-/// externally sequenced store (a PartitionedTruthStore child) can
-/// persist router-assigned global sequence numbers across a crash;
-/// version 1 files (no seq field) are still replayed, with every
-/// record's seq reported as 0. A writer appending to an existing file
-/// keeps that file's record format, so a log is never mixed-version.
+/// Every record carries the ingest sequence number the store stamped on
+/// it at append time, so replay recovers both the rows and their global
+/// ingest order. Version 2 is the only format: any other version in the
+/// header is rejected by both the reader and the writer.
 ///
 /// Appends go through stdio buffering; Sync() flushes and fsyncs, the
 /// group-commit durability point. A crash can therefore lose an unsynced
@@ -39,16 +37,13 @@ namespace store {
 
 inline constexpr char kWalMagic[4] = {'L', 'T', 'M', 'W'};
 inline constexpr uint32_t kWalVersion = 2;
-inline constexpr uint32_t kWalLegacyVersion = 1;
 inline constexpr size_t kWalHeaderSize = 8;
 
 /// One logged observation: `source` asserted (observation = 1) that
 /// `entity` has attribute value `attribute`. The observation bit is part
 /// of the on-disk record for forward compatibility with explicit
 /// negative claims; the store currently only writes 1. `seq` is the
-/// ingest sequence number persisted by version-2 logs; internally
-/// sequenced stores ignore it on append (the flush assigns sequence
-/// numbers) and version-1 replays report it as 0.
+/// record's ingest sequence number (see TruthStore for who assigns it).
 struct WalRecord {
   std::string entity;
   std::string attribute;
@@ -64,8 +59,9 @@ struct WalRecord {
 class WalWriter {
  public:
   /// Opens `path` for appending, writing the file header if the file is
-  /// new or empty. The caller must have truncated any torn tail first
-  /// (see WalReplay::valid_bytes).
+  /// new or empty; an existing file must carry the version-2 header. The
+  /// caller must have truncated any torn tail first (see
+  /// WalReplay::valid_bytes).
   static Result<WalWriter> Open(const std::string& path);
 
   WalWriter(WalWriter&& other) noexcept;
@@ -82,17 +78,13 @@ class WalWriter {
 
   uint64_t appended_records() const { return appended_; }
   const std::string& path() const { return path_; }
-  /// Record format this writer emits: kWalVersion for fresh files, the
-  /// existing header's version when appending to an old log.
-  uint32_t version() const { return version_; }
 
  private:
-  WalWriter(std::FILE* file, std::string path, uint32_t version)
-      : file_(file), path_(std::move(path)), version_(version) {}
+  WalWriter(std::FILE* file, std::string path)
+      : file_(file), path_(std::move(path)) {}
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  uint32_t version_ = kWalVersion;
   uint64_t appended_ = 0;
 };
 

@@ -320,7 +320,7 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
   const auto pin = (*store)->PinEpoch();
   const std::string key = "movie-00100";  // lives in segment 4 of 8
   RangeScanStats rs;
-  auto slice = (*store)->MaterializeFromPin(*pin, &key, &key, &rs);
+  auto slice = (*store)->MaterializeSnapshot(*pin, &key, &key, &rs);
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();
   EXPECT_EQ(slice->raw.NumRows(), 2u);
   EXPECT_EQ(slice->raw.NumEntities(), 1u);
@@ -333,14 +333,14 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
   // The same lookup again is served from the block cache: one block
   // decoded, zero disk bytes.
   RangeScanStats warm;
-  auto again = (*store)->MaterializeFromPin(*pin, &key, &key, &warm);
+  auto again = (*store)->MaterializeSnapshot(*pin, &key, &key, &warm);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(warm.blocks_read, 1u);
   EXPECT_EQ(warm.block_cache_hits, 1u);
   EXPECT_EQ(warm.bytes_read, 0u);
 }
 
-TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
+TEST_F(BlockSegmentTest, SnapshotFactMayExistAnswersFromBloomsAlone) {
   auto store = TruthStore::Open(Path("store"));
   ASSERT_TRUE(store.ok());
   for (const char* e : {"apple", "banana"}) {
@@ -353,12 +353,12 @@ TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
   ASSERT_TRUE((*store)->Flush().ok());
 
   const auto pin = (*store)->PinEpoch();
-  auto present = (*store)->PinnedFactMayExist(*pin, "cherry", "color");
+  auto present = (*store)->SnapshotFactMayExist(*pin, "cherry", "color");
   ASSERT_TRUE(present.ok());
   EXPECT_TRUE(*present);
 
   const uint64_t skips_before = (*store)->Stats().bloom_point_skips;
-  auto absent = (*store)->PinnedFactMayExist(*pin, "cherry", "weight");
+  auto absent = (*store)->SnapshotFactMayExist(*pin, "cherry", "weight");
   ASSERT_TRUE(absent.ok());
   EXPECT_FALSE(*absent);
   EXPECT_GT((*store)->Stats().bloom_point_skips, skips_before);
@@ -366,7 +366,7 @@ TEST_F(BlockSegmentTest, PinnedFactMayExistAnswersFromBloomsAlone) {
   // Memtable rows are visible to the probe before any flush.
   ASSERT_TRUE((*store)->Append(WalRecord{"elder", "color", "s1", 1}).ok());
   const auto pin2 = (*store)->PinEpoch();
-  auto memtable_hit = (*store)->PinnedFactMayExist(*pin2, "elder", "color");
+  auto memtable_hit = (*store)->SnapshotFactMayExist(*pin2, "elder", "color");
   ASSERT_TRUE(memtable_hit.ok());
   EXPECT_TRUE(*memtable_hit);
 }

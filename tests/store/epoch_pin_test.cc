@@ -52,7 +52,7 @@ class EpochPinTest : public ::testing::Test {
   Dataset extra_;
 };
 
-TEST_F(EpochPinTest, MaterializeFromPinMatchesMaterializeAtCapture) {
+TEST_F(EpochPinTest, MaterializeSnapshotMatchesMaterializeAtCapture) {
   auto store = TruthStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->AppendDataset(base_).ok());
@@ -73,14 +73,14 @@ TEST_F(EpochPinTest, MaterializeFromPinMatchesMaterializeAtCapture) {
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_GT((*store)->epoch(), epoch);
 
-  auto pinned = (*store)->MaterializeFromPin(*pin);
+  auto pinned = (*store)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(pinned.ok());
   EXPECT_EQ(Triples(*pinned), Triples(*at_capture));
 
   // A bounded read through the same pin re-filters to the bounds.
   const std::string entity =
       std::string(base_.raw.entities().Get(0));
-  auto bounded = (*store)->MaterializeFromPin(*pin, &entity, &entity);
+  auto bounded = (*store)->MaterializeSnapshot(*pin, &entity, &entity);
   ASSERT_TRUE(bounded.ok());
   for (const auto& [e, a, s] : Triples(*bounded)) {
     EXPECT_EQ(e, entity);
@@ -97,7 +97,7 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
   ASSERT_TRUE((*store)->Flush().ok());
 
   const auto pin = (*store)->PinEpoch();
-  auto baseline = (*store)->MaterializeFromPin(*pin);
+  auto baseline = (*store)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::string> pinned_files;
   for (const SegmentInfo& seg : pin->segments()) {
@@ -118,7 +118,7 @@ TEST_F(EpochPinTest, PinSurvivesCompactionAndFlush) {
   }
 
   // The pinned view is unchanged — same triples in the same order.
-  auto reread = (*store)->MaterializeFromPin(*pin);
+  auto reread = (*store)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(Triples(*reread), Triples(*baseline));
 }
@@ -150,7 +150,7 @@ TEST_F(EpochPinTest, DroppingLastPinReclaimsDeferredSegments) {
     for (const std::string& path : pinned_files) {
       EXPECT_TRUE(fs::exists(path)) << path;
     }
-    auto pinned = (*store)->MaterializeFromPin(*outer);
+    auto pinned = (*store)->MaterializeSnapshot(*outer);
     ASSERT_TRUE(pinned.ok());
   }
   // Last pin dropped: deferred files are reclaimed.
@@ -176,13 +176,13 @@ TEST_F(EpochPinTest, FailpointDuringPinnedReadSurfacesAndRecovers) {
         }
         return Status::OK();
       });
-      auto failed = (*store)->MaterializeFromPin(*pin);
+      auto failed = (*store)->MaterializeSnapshot(*pin);
       ASSERT_FALSE(failed.ok());
       EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
     }
     // The failure left no partial state: the same pin reads fine, and
     // the pin still releases cleanly below.
-    auto retried = (*store)->MaterializeFromPin(*pin);
+    auto retried = (*store)->MaterializeSnapshot(*pin);
     ASSERT_TRUE(retried.ok());
     EXPECT_EQ(retried->raw.NumRows(), base_.raw.NumRows());
   }  // pin and store torn down with the failpoint long gone
@@ -208,7 +208,7 @@ TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
   ASSERT_TRUE((*store)->Flush().ok());
 
   const auto pin = (*store)->PinEpoch();
-  auto baseline = (*store)->MaterializeFromPin(*pin);
+  auto baseline = (*store)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(baseline.ok());
   const auto expect = Triples(*baseline);
 
@@ -218,7 +218,7 @@ TEST_F(EpochPinTest, ConcurrentPinnedReadsSeeFrozenStateUnderWriters) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&]() {
       while (!stop.load(std::memory_order_relaxed)) {
-        auto ds = (*store)->MaterializeFromPin(*pin);
+        auto ds = (*store)->MaterializeSnapshot(*pin);
         if (!ds.ok() || Triples(*ds) != expect) {
           reader_failures.fetch_add(1, std::memory_order_relaxed);
           return;

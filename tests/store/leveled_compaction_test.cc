@@ -290,7 +290,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   ASSERT_TRUE((*st)->Flush().ok());
 
   auto pin = (*st)->PinEpoch();
-  auto baseline = (*st)->MaterializeFromPin(*pin);
+  auto baseline = (*st)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(baseline.ok());
   std::vector<std::string> pinned_files;
   for (const SegmentInfo& seg : pin->segments()) {
@@ -307,7 +307,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
     ASSERT_FALSE((*st)->CompactOnce().ok());
   }
   // The failed merge committed nothing: the pinned view is untouched.
-  auto after_crash = (*st)->MaterializeFromPin(*pin);
+  auto after_crash = (*st)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(after_crash.ok());
   EXPECT_EQ(Triples(*after_crash), Triples(*baseline));
 
@@ -320,7 +320,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   for (const std::string& path : pinned_files) {
     EXPECT_TRUE(fs::exists(path)) << path;
   }
-  auto after_compact = (*st)->MaterializeFromPin(*pin);
+  auto after_compact = (*st)->MaterializeSnapshot(*pin);
   ASSERT_TRUE(after_compact.ok());
   EXPECT_EQ(Triples(*after_compact), Triples(*baseline));
 

@@ -168,14 +168,18 @@ TEST_F(PartitionedTruthStoreTest, RoutesAppendsByEntityRange) {
   EXPECT_GT(slice->raw.NumRows(), 0u);
 }
 
-// The tentpole acceptance pin: the same rows ingested in the same order
-// into a 4-way partitioned store and into a single store yield
-// BIT-IDENTICAL posteriors under the reference kernel — partitioning is
-// invisible to inference because global ingest order is reproduced
-// exactly from the per-partition WALs and segments.
+// The acceptance pin: the same rows ingested in the same order into a
+// 4-way partitioned store and into a single store yield BIT-IDENTICAL
+// posteriors under the reference kernel — partitioning is invisible to
+// inference because global ingest order is reproduced exactly from the
+// per-partition WALs and segments. The feed repeats rows (inside one
+// memtable, across a flush, and against the unflushed tail), and both
+// stores are reopened with their last third still in the WAL, so the
+// seqs stamped at append must also survive replay.
 TEST_F(PartitionedTruthStoreTest, PinnedPosteriorsBitIdenticalToSingleStore) {
   const RawDatabase raw = testing::RandomRaw(21);
   const size_t n = raw.NumRows();
+  const Dataset batch = Dataset::FromRaw("batch", testing::RandomRaw(21));
 
   auto single = TruthStore::Open(Dir("single"));
   ASSERT_TRUE(single.ok());
@@ -186,29 +190,104 @@ TEST_F(PartitionedTruthStoreTest, PinnedPosteriorsBitIdenticalToSingleStore) {
        {static_cast<TruthStoreBase*>(single->get()),
         static_cast<TruthStoreBase*>(parted->get())}) {
     ASSERT_TRUE(AppendRows(st, raw, 0, n / 3).ok());
+    ASSERT_TRUE(AppendRows(st, raw, 0, n / 6).ok());  // same memtable
     ASSERT_TRUE(st->Flush().ok());
     ASSERT_TRUE(AppendRows(st, raw, n / 3, 2 * n / 3).ok());
+    ASSERT_TRUE(AppendRows(st, raw, n / 6, n / 2).ok());  // across a flush
     ASSERT_TRUE(st->Flush().ok());
     auto compacted = st->CompactOnce();
     ASSERT_TRUE(compacted.ok());
     ASSERT_TRUE(AppendRows(st, raw, 2 * n / 3, n).ok());
+    ASSERT_TRUE(AppendRows(st, raw, n / 2, 5 * n / 6).ok());  // unflushed
   }
 
   auto ds_single = (*single)->Materialize();
   ASSERT_TRUE(ds_single.ok());
   auto ds_parted = (*parted)->Materialize();
   ASSERT_TRUE(ds_parted.ok());
+  // Repeats collapse onto their first occurrence: batch ingest order.
+  ExpectSameClaimData(batch, *ds_single);
   ExpectSameClaimData(*ds_single, *ds_parted);
-  EXPECT_EQ(LtmPosteriors(*ds_single), LtmPosteriors(*ds_parted));
+  const std::vector<double> posteriors = LtmPosteriors(*ds_single);
+  EXPECT_EQ(posteriors, LtmPosteriors(*ds_parted));
 
-  // And the partitioned store round-trips a reopen to the same bits.
+  // Both stores round-trip a reopen to the same bits; the single store's
+  // last third comes back through the replayed WAL seqs.
+  single->reset();
   parted->reset();
-  auto reopened = PartitionedTruthStore::Open(Dir("parted"));
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto ds_reopened = (*reopened)->Materialize();
-  ASSERT_TRUE(ds_reopened.ok());
-  ExpectSameClaimData(*ds_single, *ds_reopened);
-  EXPECT_EQ(LtmPosteriors(*ds_single), LtmPosteriors(*ds_reopened));
+  auto single_reopened = TruthStore::Open(Dir("single"));
+  ASSERT_TRUE(single_reopened.ok()) << single_reopened.status().ToString();
+  EXPECT_GT((*single_reopened)->Stats().wal_records_replayed, 0u);
+  auto parted_reopened = PartitionedTruthStore::Open(Dir("parted"));
+  ASSERT_TRUE(parted_reopened.ok()) << parted_reopened.status().ToString();
+  for (TruthStoreBase* st :
+       {static_cast<TruthStoreBase*>(single_reopened->get()),
+        static_cast<TruthStoreBase*>(parted_reopened->get())}) {
+    auto ds = st->Materialize();
+    ASSERT_TRUE(ds.ok());
+    ExpectSameClaimData(*ds_single, *ds);
+    EXPECT_EQ(LtmPosteriors(*ds), posteriors);
+  }
+
+  // The recovered seq counters continue past every replayed seq: rows
+  // appended after the reopen still land in the same global order.
+  const RawDatabase more = testing::RandomRaw(22);
+  for (TruthStoreBase* st :
+       {static_cast<TruthStoreBase*>(single_reopened->get()),
+        static_cast<TruthStoreBase*>(parted_reopened->get())}) {
+    ASSERT_TRUE(AppendRows(st, more, 0, more.NumRows()).ok());
+  }
+  auto grown_single = (*single_reopened)->Materialize();
+  ASSERT_TRUE(grown_single.ok());
+  auto grown_parted = (*parted_reopened)->Materialize();
+  ASSERT_TRUE(grown_parted.ok());
+  EXPECT_GT(grown_single->raw.NumRows(), ds_single->raw.NumRows());
+  ExpectSameClaimData(*grown_single, *grown_parted);
+  EXPECT_EQ(LtmPosteriors(*grown_single), LtmPosteriors(*grown_parted));
+}
+
+// A store accepts only pins it issued: a pin from another store — of
+// either type — is rejected with InvalidArgument by both pinned reads,
+// never downcast.
+TEST_F(PartitionedTruthStoreTest, ForeignPinsAreRejected) {
+  auto store_a = TruthStore::Open(Dir("a"));
+  ASSERT_TRUE(store_a.ok());
+  auto store_b = TruthStore::Open(Dir("b"));
+  ASSERT_TRUE(store_b.ok());
+  auto parted = PartitionedTruthStore::Open(Dir("parted"), FourWay());
+  ASSERT_TRUE(parted.ok());
+  const RawDatabase raw = testing::RandomRaw(5);
+  for (TruthStoreBase* st :
+       {static_cast<TruthStoreBase*>(store_a->get()),
+        static_cast<TruthStoreBase*>(store_b->get()),
+        static_cast<TruthStoreBase*>(parted->get())}) {
+    ASSERT_TRUE(AppendRows(st, raw, 0, raw.NumRows()).ok());
+  }
+
+  const std::unique_ptr<StorePin> epoch_pin_a = (*store_a)->PinSnapshot();
+  const std::unique_ptr<StorePin> composite_pin = (*parted)->PinSnapshot();
+  struct Case {
+    const char* name;
+    const TruthStoreBase* store;
+    const StorePin* pin;
+  };
+  const Case cases[] = {
+      {"EpochPin of store A to store B", store_b->get(), epoch_pin_a.get()},
+      {"EpochPin to a partitioned store", parted->get(), epoch_pin_a.get()},
+      {"CompositePin to a TruthStore", store_a->get(), composite_pin.get()},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.store->MaterializeSnapshot(*c.pin).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(c.store->SnapshotFactMayExist(*c.pin, "e1", "a100")
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The issuers still accept their own pins.
+  EXPECT_TRUE((*store_a)->MaterializeSnapshot(*epoch_pin_a).ok());
+  EXPECT_TRUE((*parted)->MaterializeSnapshot(*composite_pin).ok());
 }
 
 TEST_F(PartitionedTruthStoreTest, SplitAndMergeRoundTripPreservesEveryRow) {

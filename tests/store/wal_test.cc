@@ -282,6 +282,7 @@ TEST_F(WalTest, RecordSizeAllocationBombIsATornTail) {
 TEST_F(WalTest, InnerStringLengthBombEndsTheScan) {
   std::string payload;
   payload += EncodeLe<uint8_t>(1);           // observation
+  payload += EncodeLe<uint64_t>(0);          // seq
   payload += EncodeLe<uint32_t>(0xFFFFu);    // entity length: a lie
   payload += "ab";                           // only two bytes follow
   const std::string bytes = WalHeaderBytes() +
@@ -295,7 +296,7 @@ TEST_F(WalTest, InnerStringLengthBombEndsTheScan) {
   EXPECT_TRUE(replay->torn_tail);
 }
 
-// --- version 2: router-assigned ingest sequence numbers ------------------
+// --- version 2: per-record ingest sequence numbers -----------------------
 
 TEST_F(WalTest, V2PersistsIngestSequenceNumbers) {
   const std::string path = Path("seq.log");
@@ -306,7 +307,6 @@ TEST_F(WalTest, V2PersistsIngestSequenceNumbers) {
   {
     auto writer = WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    EXPECT_EQ(writer->version(), kWalVersion);
     for (const WalRecord& r : records) ASSERT_TRUE(writer->Append(r).ok());
     ASSERT_TRUE(writer->Sync().ok());
   }
@@ -315,49 +315,50 @@ TEST_F(WalTest, V2PersistsIngestSequenceNumbers) {
   EXPECT_EQ(replay->records, records);  // seqs round-trip exactly
 }
 
-// A version-1 log (no seq field) replays with every seq reported as 0,
-// and a writer appending to it keeps the file's own format — a log is
-// never mixed-version.
-TEST_F(WalTest, LegacyV1LogsReplayWithZeroSeqsAndStayV1) {
+// Version 2 is the only format. A version-1 log (no seq field) is
+// rejected by the reader and by the writer like any other unknown
+// version, and a short prefix of a v1 header is corruption, not a torn
+// fresh WAL.
+TEST_F(WalTest, V1HeaderIsRejected) {
+  std::string v1_header(kWalMagic, 4);
+  v1_header += EncodeLe<uint32_t>(1);
+  std::string payload;
+  payload += EncodeLe<uint8_t>(1);  // v1: no seq field
+  for (const std::string s : {"harry", "radcliffe", "imdb"}) {
+    payload += EncodeLe<uint32_t>(static_cast<uint32_t>(s.size())) + s;
+  }
+  const std::string file = v1_header +
+                           EncodeLe<uint32_t>(
+                               static_cast<uint32_t>(payload.size())) +
+                           EncodeLe<uint64_t>(Fnv1a64(payload)) + payload;
+
+  for (const std::string& bytes : {file, v1_header}) {
+    auto replay = ReplayWalBytes(bytes, "v1");
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(replay.status().message().find("version 1"), std::string::npos)
+        << replay.status().ToString();
+  }
+
   const std::string path = Path("v1.log");
-  const WalRecord r1{"harry", "radcliffe", "imdb", 1, 0};
-  const WalRecord r2{"harry", "watson", "netflix", 1, 0};
-  std::string file(kWalMagic, 4);
-  file += EncodeLe<uint32_t>(kWalLegacyVersion);
-  for (const WalRecord& r : {r1, r2}) {
-    std::string payload;
-    payload += EncodeLe<uint8_t>(r.observation);  // v1: no seq field
-    for (const std::string* s : {&r.entity, &r.attribute, &r.source}) {
-      payload += EncodeLe<uint32_t>(static_cast<uint32_t>(s->size()));
-      payload += *s;
-    }
-    file += EncodeLe<uint32_t>(static_cast<uint32_t>(payload.size()));
-    file += EncodeLe<uint64_t>(Fnv1a64(payload));
-    file += payload;
-  }
   WriteFile(path, file);
+  auto writer = WalWriter::Open(path);
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadFile(path), file);  // nothing appended to the old log
 
-  auto replay = ReplayWal(path);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_FALSE(replay->torn_tail);
-  ASSERT_EQ(replay->records.size(), 2u);
-  EXPECT_EQ(replay->records[0], r1);
-  EXPECT_EQ(replay->records[1], r2);
-
-  {
-    auto writer = WalWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    EXPECT_EQ(writer->version(), kWalLegacyVersion);
-    WalRecord r3{"harry", "grint", "imdb", 1, 77};
-    ASSERT_TRUE(writer->Append(r3).ok());
-    ASSERT_TRUE(writer->Sync().ok());
+  // Past the magic, a v1 header prefix no longer matches any readable
+  // header; only the bare magic (a prefix of the v2 header too) still
+  // reads as a torn fresh WAL.
+  for (size_t keep = 5; keep < kWalHeaderSize; ++keep) {
+    auto torn = ReplayWalBytes(v1_header.substr(0, keep), "v1-prefix");
+    ASSERT_FALSE(torn.ok()) << "kept " << keep;
+    EXPECT_EQ(torn.status().code(), StatusCode::kInvalidArgument);
   }
-  replay = ReplayWal(path);
-  ASSERT_TRUE(replay.ok());
-  ASSERT_EQ(replay->records.size(), 3u);
-  EXPECT_EQ(replay->records[2].entity, "harry");
-  EXPECT_EQ(replay->records[2].attribute, "grint");
-  EXPECT_EQ(replay->records[2].seq, 0u);  // v1 cannot carry the seq
+  auto magic_only = ReplayWalBytes(v1_header.substr(0, 4), "magic");
+  ASSERT_TRUE(magic_only.ok());
+  EXPECT_TRUE(magic_only->records.empty());
+  EXPECT_TRUE(magic_only->torn_tail);
 }
 
 }  // namespace
