@@ -21,14 +21,33 @@ Result<TruthResult> StreamingPipeline::Run(const RunContext& ctx,
   return serving_.Run(ctx, facts, graph);
 }
 
+namespace {
+
+/// The whole store's rows, replayed as Materialize() would replay them,
+/// without building the Dataset's tables (a refit builds its own from
+/// the cumulative mirror). The pin is released before returning.
+Result<RawDatabase> ReplayStore(const store::TruthStoreBase& store,
+                                uint64_t* epoch) {
+  const std::unique_ptr<store::StorePin> pin = store.PinSnapshot();
+  *epoch = pin->epoch();
+  return store.ReplaySnapshot(*pin);
+}
+
+}  // namespace
+
 Status StreamingPipeline::Bootstrap(const Dataset& history,
                                     const RunContext& ctx) {
+  return BootstrapRaw(history.raw, ctx);
+}
+
+Status StreamingPipeline::BootstrapRaw(const RawDatabase& history,
+                                       const RunContext& ctx) {
   // Keep the shared source id space: intern history's sources first.
   // Re-merging on a retried bootstrap is harmless: RawDatabase dedups.
-  for (const std::string& s : history.raw.sources().strings()) {
+  for (const std::string& s : history.sources().strings()) {
     cumulative_.mutable_sources().Intern(s);
   }
-  cumulative_.MergeRowsFrom(history.raw);
+  cumulative_.MergeRowsFrom(history);
   LTM_RETURN_IF_ERROR(Refit(ctx));
   bootstrapped_ = true;
   return Status::OK();
@@ -102,9 +121,9 @@ Status StreamingPipeline::BootstrapFromStore(store::TruthStoreBase* store,
     return Status::InvalidArgument("BootstrapFromStore: store is null");
   }
   uint64_t epoch = 0;
-  LTM_ASSIGN_OR_RETURN(const Dataset history, store->Materialize(&epoch));
-  if (history.raw.NumRows() > 0) {
-    LTM_RETURN_IF_ERROR(Bootstrap(history, ctx));
+  LTM_ASSIGN_OR_RETURN(const RawDatabase history, ReplayStore(*store, &epoch));
+  if (history.NumRows() > 0) {
+    LTM_RETURN_IF_ERROR(BootstrapRaw(history, ctx));
   }
   // Attach only after a successful fit so a failed bootstrap leaves the
   // pipeline unchanged and retryable.
@@ -203,12 +222,12 @@ Result<uint64_t> StreamingPipeline::RefitFromStore(const RunContext& ctx) {
   // swap is rolled back if the refit fails, so quality_ and cumulative_
   // can never be left with mismatched source-interning orders.
   uint64_t fit_epoch = 0;
-  LTM_ASSIGN_OR_RETURN(Dataset durable, store_->Materialize(&fit_epoch));
-  if (durable.raw.NumRows() == 0) return fit_epoch;  // nothing to fit
-  std::swap(cumulative_, durable.raw);  // durable.raw now holds the old
+  LTM_ASSIGN_OR_RETURN(RawDatabase durable, ReplayStore(*store_, &fit_epoch));
+  if (durable.NumRows() == 0) return fit_epoch;  // nothing to fit
+  std::swap(cumulative_, durable);  // durable now holds the old
   Status refit = Refit(ctx);
   if (!refit.ok()) {
-    std::swap(cumulative_, durable.raw);  // Refit left quality_ as-is
+    std::swap(cumulative_, durable);  // Refit left quality_ as-is
     return refit;
   }
   bootstrapped_ = true;

@@ -152,6 +152,9 @@ class StreamingPipeline : public StreamingTruthMethod {
   bool last_refit() const { return last_refit_; }
 
  private:
+  /// Bootstrap on the rows of `history` (all the fit needs of it).
+  Status BootstrapRaw(const RawDatabase& history, const RunContext& ctx);
+
   /// Batch-fits on cumulative_, installs the quality, and resets serving_
   /// (whose accumulated chunk evidence the refit just absorbed).
   Status Refit(const RunContext& ctx);

@@ -91,8 +91,10 @@ Status ServeSession::RefreshQuality() {
 
 void ServeSession::InstallQualityLocked() {
   auto next = std::make_shared<VersionedQuality>();
-  next->lookup = BuildQualityLookup(
-      pipeline_->quality(), pipeline_->cumulative_sources(), ltm_options_);
+  next->terms = PrecomputeLogTerms(
+      BuildQualityLookup(pipeline_->quality(),
+                         pipeline_->cumulative_sources(), ltm_options_),
+      ltm_options_);
   MutexLock lock(mu_);
   next->version = quality_versions_installed_++;
   quality_version_gauge_->Set(static_cast<int64_t>(next->version));
@@ -202,7 +204,7 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
   const auto it = entry->score.posteriors.find(fact_key);
   const double posterior = it != entry->score.posteriors.end()
                                ? it->second
-                               : quality->lookup.no_claim_prior;
+                               : quality->terms.no_claim_prior;
   if (it == entry->score.posteriors.end()) {
     // The slice fill only covered facts that exist; cache the no-claim
     // prior for this queried-but-absent fact so repeat lookups hit.
@@ -219,20 +221,20 @@ Result<ServeSession::SliceScore> ServeSession::ComputeEntitySlice(
   const auto pin = store_->PinSnapshot(&entity, &entity);
   SliceScore out;
   out.epoch = pin->epoch();
-  LTM_ASSIGN_OR_RETURN(const Dataset slice,
-                       store_->MaterializeSnapshot(*pin, &entity, &entity));
-  if (slice.facts.NumFacts() == 0) return out;
-  LTM_ASSIGN_OR_RETURN(const std::vector<double> probs,
-                       ScoreSlice(slice, quality.lookup, ltm_options_, ctx));
-  for (size_t f = 0; f < slice.facts.NumFacts(); ++f) {
-    const Fact& fact = slice.facts.fact(static_cast<FactId>(f));
-    std::string key = std::string(slice.raw.entities().Get(fact.entity));
+  LTM_ASSIGN_OR_RETURN(const std::vector<store::SegmentRow> rows,
+                       store_->SnapshotRows(*pin, &entity, &entity));
+  if (rows.empty()) return out;
+  LTM_ASSIGN_OR_RETURN(const std::vector<RowFactScore> scores,
+                       ScoreRows(rows, quality.terms, ctx));
+  for (const RowFactScore& scored : scores) {
+    std::string key(scored.entity);
     key += "\t";
-    key += slice.raw.attributes().Get(fact.attribute);
-    // The slice spans exactly [entity, entity], so every fact lives in
+    key += scored.attribute;
+    // The rows span exactly [entity, entity], so every fact lives in
     // `entity`'s partition cache.
-    cache_for(entity).Put(CacheKey(key, quality.version), out.epoch, probs[f]);
-    out.posteriors.emplace(std::move(key), probs[f]);
+    cache_for(entity).Put(CacheKey(key, quality.version), out.epoch,
+                          scored.posterior);
+    out.posteriors.emplace(std::move(key), scored.posterior);
   }
   return out;
 }
@@ -259,28 +261,25 @@ Result<std::vector<ServedFact>> ServeSession::QueryEntityRange(
   const std::shared_ptr<const VersionedQuality> quality = CurrentQuality();
   const auto pin = store_->PinSnapshot(&min_entity, &max_entity);
   LTM_ASSIGN_OR_RETURN(
-      const Dataset slice,
-      store_->MaterializeSnapshot(*pin, &min_entity, &max_entity));
+      const std::vector<store::SegmentRow> rows,
+      store_->SnapshotRows(*pin, &min_entity, &max_entity));
   std::vector<ServedFact> out;
-  if (slice.facts.NumFacts() == 0) return out;
+  if (rows.empty()) return out;
   LTM_ASSIGN_OR_RETURN(
-      const std::vector<double> probs,
-      ScoreSlice(slice, quality->lookup, ltm_options_, obs.NestedContext()));
-  out.reserve(slice.facts.NumFacts());
-  for (size_t f = 0; f < slice.facts.NumFacts(); ++f) {
-    const Fact& fact = slice.facts.fact(static_cast<FactId>(f));
-    ServedFact served;
-    served.entity = std::string(slice.raw.entities().Get(fact.entity));
-    served.attribute = std::string(slice.raw.attributes().Get(fact.attribute));
-    served.posterior = probs[f];
+      const std::vector<RowFactScore> scores,
+      ScoreRows(rows, quality->terms, obs.NestedContext()));
+  out.reserve(scores.size());
+  for (const RowFactScore& scored : scores) {
+    const ServedFact& served = out.emplace_back(
+        ServedFact{std::string(scored.entity), std::string(scored.attribute),
+                   scored.posterior});
     cache_for(served.entity)
         .Put(CacheKey(served.entity + "\t" + served.attribute,
                       quality->version),
-             pin->epoch(), probs[f]);
-    out.push_back(std::move(served));
+             pin->epoch(), served.posterior);
   }
-  // Materialization order is global *ingest* order (it must be — the
-  // scoring above depends on it). The API contract is global
+  // Facts come back in first-appearance (global *ingest*) order — the
+  // scoring above depends on it. The API contract is global
   // lexicographic entity order regardless of partition layout; the
   // stable sort keeps facts of one entity in ingest order.
   std::stable_sort(out.begin(), out.end(),
@@ -342,7 +341,7 @@ Result<double> ServeSnapshot::Query(const FactRef& fact,
                        session_->store_->SnapshotFactMayExist(
                            *pin_, fact.entity, fact.attribute));
   if (!may_exist) {
-    const double prior = quality_->lookup.no_claim_prior;
+    const double prior = quality_->terms.no_claim_prior;
     cache.Put(cache_key, pin_->epoch(), prior);
     session_->query_micros_->Record(ElapsedMicros(timer));
     return prior;
@@ -350,20 +349,20 @@ Result<double> ServeSnapshot::Query(const FactRef& fact,
   // Recompute from this snapshot's own pin: the same replay order a
   // sequential materialize at the pinned epoch would use, so the result
   // is bit-identical no matter what runs concurrently.
-  LTM_ASSIGN_OR_RETURN(
-      const Dataset slice,
-      session_->store_->MaterializeSnapshot(*pin_, &fact.entity,
-                                            &fact.entity));
-  double posterior = quality_->lookup.no_claim_prior;
-  const auto eid = slice.raw.entities().Find(fact.entity);
-  const auto aid = slice.raw.attributes().Find(fact.attribute);
-  if (eid.has_value() && aid.has_value()) {
-    if (const auto f = slice.facts.Find(*eid, *aid)) {
-      LTM_ASSIGN_OR_RETURN(const std::vector<double> probs,
-                           ScoreSlice(slice, quality_->lookup,
-                                      session_->ltm_options_,
-                                      obs.NestedContext()));
-      posterior = probs[*f];
+  LTM_ASSIGN_OR_RETURN(const std::vector<store::SegmentRow> rows,
+                       session_->store_->SnapshotRows(*pin_, &fact.entity,
+                                                      &fact.entity));
+  double posterior = quality_->terms.no_claim_prior;
+  const auto claimed =
+      std::find_if(rows.begin(), rows.end(), [&](const store::SegmentRow& r) {
+        return r.attribute == fact.attribute;
+      });
+  if (claimed != rows.end()) {
+    LTM_ASSIGN_OR_RETURN(
+        const std::vector<RowFactScore> scores,
+        ScoreRows(rows, quality_->terms, obs.NestedContext()));
+    for (const RowFactScore& scored : scores) {
+      if (scored.attribute == fact.attribute) posterior = scored.posterior;
     }
   }
   // Best-effort warm: dropped by the downgrade guard when the live cache

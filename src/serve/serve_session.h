@@ -181,7 +181,7 @@ class ServeSession {
   /// Immutable once published; swapped atomically under mu_ on refit.
   struct VersionedQuality {
     uint64_t version = 0;
-    QualityLookup lookup;
+    QualityLogTerms terms;
   };
 
   /// Result of one entity-slice computation, shared by coalesced waiters.
@@ -203,8 +203,8 @@ class ServeSession {
   std::shared_ptr<const VersionedQuality> CurrentQuality() const
       LTM_EXCLUDES(mu_);
 
-  /// Pins the entity's slice at the current epoch, scores every fact in
-  /// it, and fills the cache. The slow path behind Query.
+  /// Pins the entity's rows at the current epoch, scores every fact in
+  /// them (ScoreRows), and fills the cache. The slow path behind Query.
   Result<SliceScore> ComputeEntitySlice(const std::string& entity,
                                         const VersionedQuality& quality,
                                         const RunContext& ctx);
@@ -212,8 +212,8 @@ class ServeSession {
   /// Query minus latency accounting.
   Result<double> QueryInner(const FactRef& fact, const RunContext& ctx);
 
-  /// Rebuilds the lookup from the pipeline and publishes it (new
-  /// version, cache cleared).
+  /// Precomputes the Eq. 3 log terms of the pipeline's quality and
+  /// publishes them (new version, cache cleared).
   void InstallQualityLocked() LTM_REQUIRES(pipeline_mu_);
 
   /// The cache slot serving `entity` — per-partition for a partitioned

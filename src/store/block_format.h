@@ -17,7 +17,8 @@ namespace store {
 /// the entity string is prefix-compressed against the previous row's.
 /// Every `restart_interval` rows the full entity is stored again (a
 /// restart point), which bounds how far a decoder must scan and lets a
-/// seek binary-search the restart array instead of decoding from byte 0.
+/// seek binary-search the restart array instead of decoding from byte 0
+/// (BlockCursor::Seek).
 ///
 /// Entry encoding (little-endian, varint = LEB128):
 ///
@@ -29,9 +30,12 @@ namespace store {
 ///   uint8    observation       1 = assertion (0 reserved)
 ///
 /// Block trailer: restart offsets (uint32 each, ascending, first is 0),
-/// then uint32 restart count. The per-block checksum lives in the segment
-/// index entry, not in the block itself, so the index is the single
-/// chain-of-trust root for data bytes.
+/// then uint32 restart count. The entry at a restart offset stores its
+/// whole entity (entity_shared == 0): a seek decodes restart entries with
+/// no previous entity to expand against, so a non-zero shared prefix there
+/// is corruption. The per-block checksum lives in the segment index entry,
+/// not in the block itself, so the index is the single chain-of-trust root
+/// for data bytes.
 
 /// One decoded claim row plus its global ingest sequence number. Seq
 /// order across every segment *is* batch ingest order — sorting merged
@@ -89,15 +93,24 @@ class BlockBuilder {
 };
 
 /// Bounds-checked decoder over one block's bytes. This is the parser the
-/// block-segment fuzzer drives (via ParseBlockSegmentFromBytes): it must
-/// return rows or a non-OK Status for every byte string, never crash or
-/// over-allocate.
+/// block-segment fuzzer drives (directly, and via
+/// ParseBlockSegmentFromBytes): it must return rows or a non-OK Status for
+/// every byte string, never crash or over-allocate. Its errors are
+/// InvalidArgument and name no block; callers that need one attach it with
+/// LabelBlockError, so a read builds its label only on error.
 class BlockCursor {
  public:
   /// Validates the restart trailer (count fits, offsets ascending and
   /// in-bounds, first restart at 0) without touching entry bytes.
-  static Result<BlockCursor> Parse(std::string_view block,
-                                   const std::string& label);
+  static Result<BlockCursor> Parse(std::string_view block);
+
+  /// Positions the cursor so that Next() returns the first row whose
+  /// entity is >= `entity` (end of block when there is none). Binary-
+  /// searches the restart array for the last restart whose entity sorts
+  /// before `entity`, then decodes forward from it without copying the
+  /// rows it passes. A restart entry with a non-zero shared prefix fails
+  /// with InvalidArgument.
+  Status Seek(std::string_view entity);
 
   /// Decodes the next row into `row`; false at end of block. A malformed
   /// entry fails with InvalidArgument.
@@ -106,17 +119,31 @@ class BlockCursor {
   size_t num_restarts() const { return num_restarts_; }
 
  private:
-  BlockCursor(std::string_view entries, size_t num_restarts, std::string label)
-      : entries_(entries),
-        num_restarts_(num_restarts),
-        label_(std::move(label)) {}
+  BlockCursor(std::string_view entries, const char* restarts,
+              size_t num_restarts)
+      : entries_(entries), restarts_(restarts), num_restarts_(num_restarts) {}
+
+  uint32_t RestartOffset(size_t i) const;
+  /// The full entity stored at restart `i`.
+  Result<std::string_view> RestartEntity(size_t i) const;
+  /// Decodes the entity of the entry at pos_ into prev_entity_.
+  Status ReadEntity();
+  /// Decodes the rest of the entry at pos_ into `row` (skips it when
+  /// null).
+  Status ReadRest(SegmentRow* row);
 
   std::string_view entries_;
+  const char* restarts_;
   size_t num_restarts_;
-  std::string label_;
   size_t pos_ = 0;
   std::string prev_entity_;
+  /// Seek stopped after decoding the entity of the entry at pos_.
+  bool entity_read_ = false;
 };
+
+/// `status`, an InvalidArgument from BlockCursor, with `label` naming the
+/// block appended.
+Status LabelBlockError(const Status& status, const std::string& label);
 
 /// Decodes every row of `block`; convenience for scans and tests.
 Result<std::vector<SegmentRow>> DecodeBlockRows(std::string_view block,

@@ -609,7 +609,7 @@ void PartitionedTruthStore::ReapRetired() const {
   }
 }
 
-Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
+Result<std::vector<SegmentRow>> PartitionedTruthStore::SnapshotRows(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
   LTM_ASSIGN_OR_RETURN(const CompositePin* composite,
@@ -631,7 +631,7 @@ Result<Dataset> PartitionedTruthStore::MaterializeSnapshot(
   }
   std::sort(rows.begin(), rows.end(), SegmentRowSeqOrder);
   if (stats != nullptr) *stats = total;
-  return TruthStore::DatasetFromRows(dir_, rows);
+  return rows;
 }
 
 Result<bool> PartitionedTruthStore::SnapshotFactMayExist(

@@ -157,7 +157,7 @@ class PartitionedTruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const override
       LTM_EXCLUDES(table_mu_);
-  Result<Dataset> MaterializeSnapshot(
+  Result<std::vector<SegmentRow>> SnapshotRows(
       const StorePin& pin, const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr,
       RangeScanStats* stats = nullptr) const override;

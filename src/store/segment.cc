@@ -96,6 +96,13 @@ Result<SegmentFooter> DecodeFooter(std::string_view footer_bytes,
     return Status::InvalidArgument(
         "corrupt segment: footer offsets outside the file: " + label);
   }
+  // Every row takes several bytes of the data region, so a reader may
+  // reserve num_rows rows up front.
+  if (f.num_rows > f.index_offset) {
+    return Status::InvalidArgument(
+        "corrupt segment: footer row count larger than the data region: " +
+        label);
+  }
   return f;
 }
 
@@ -184,6 +191,24 @@ size_t LowerBoundBlock(const std::vector<BlockHandle>& blocks,
     }
   }
   return lo;
+}
+
+/// Appends the rows of `block` with entity in [*min_entity, *max_entity]
+/// (null = unbounded) to `out`, seeking past the rows before *min_entity
+/// and decoding through the one `row` buffer. True once a row past
+/// *max_entity shows up: every later block is past it too.
+Result<bool> AppendRowsInRange(std::string_view block,
+                               const std::string* min_entity,
+                               const std::string* max_entity, SegmentRow* row,
+                               std::vector<SegmentRow>* out) {
+  LTM_ASSIGN_OR_RETURN(BlockCursor cursor, BlockCursor::Parse(block));
+  if (min_entity != nullptr) LTM_RETURN_IF_ERROR(cursor.Seek(*min_entity));
+  while (true) {
+    LTM_ASSIGN_OR_RETURN(const bool more, cursor.Next(row));
+    if (!more) return false;
+    if (max_entity != nullptr && row->entity > *max_entity) return true;
+    out->push_back(*row);
+  }
 }
 
 }  // namespace
@@ -512,20 +537,22 @@ Status BlockSegmentReader::ReadRowsInRange(const std::string* min_entity,
                                            const std::string* max_entity,
                                            BlockCache* cache, ReadStats* stats,
                                            std::vector<SegmentRow>* out) const {
-  size_t first = min_entity != nullptr ? LowerBoundBlock(blocks_, *min_entity)
-                                       : 0;
+  const size_t first =
+      min_entity != nullptr ? LowerBoundBlock(blocks_, *min_entity) : 0;
+  SegmentRow row;  // one buffer for the scan; its strings keep capacity
   for (size_t i = first; i < blocks_.size(); ++i) {
     if (max_entity != nullptr && blocks_[i].first_entity > *max_entity) break;
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<const std::string> block,
                          ReadBlock(i, cache, stats));
-    LTM_ASSIGN_OR_RETURN(
-        std::vector<SegmentRow> rows,
-        DecodeBlockRows(*block, path_ + " block " + std::to_string(i)));
-    for (SegmentRow& row : rows) {
-      if (min_entity != nullptr && row.entity < *min_entity) continue;
-      if (max_entity != nullptr && row.entity > *max_entity) continue;
-      out->push_back(std::move(row));
+    // Blocks after the first start at or past *min_entity, so only the
+    // first needs a seek.
+    const Result<bool> past_max = AppendRowsInRange(
+        *block, i == first ? min_entity : nullptr, max_entity, &row, out);
+    if (!past_max.ok()) {
+      return LabelBlockError(past_max.status(),
+                             path_ + " block " + std::to_string(i));
     }
+    if (*past_max) break;
   }
   return Status::OK();
 }

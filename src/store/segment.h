@@ -167,7 +167,9 @@ class BlockSegmentReader {
 
   /// Appends to `out` every row with entity in
   /// [*min_entity, *max_entity] (null = unbounded), reading only the
-  /// index-selected blocks. Rows arrive in block (key) order, NOT seq
+  /// index-selected blocks: the first block is entered by a restart-array
+  /// seek to *min_entity (see BlockCursor::Seek) and the scan stops at the
+  /// first row past *max_entity. Rows arrive in block (key) order, NOT seq
   /// order — the caller re-sorts by seq for replay.
   Status ReadRowsInRange(const std::string* min_entity,
                          const std::string* max_entity, BlockCache* cache,

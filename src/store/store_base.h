@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
+#include "store/block_format.h"
 #include "store/posterior_cache.h"
 #include "store/wal.h"
 
@@ -160,14 +161,43 @@ class TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const = 0;
 
-  /// Materializes from a pinned snapshot in global ingest order —
-  /// bit-identical to what a sequential materialize at the pinned epoch
-  /// would produce, regardless of partitioning. `pin` must have been
-  /// issued by this store.
-  virtual Result<Dataset> MaterializeSnapshot(
+  /// The raw rows behind a pinned snapshot, in global ingest (seq) order:
+  /// every in-range segment row plus the pin's memtable rows, NOT
+  /// deduplicated (a duplicate (entity, attribute, source) row counts once,
+  /// at its lowest seq, when replayed). The same rows regardless of
+  /// partitioning. `pin` must have been issued by this store.
+  virtual Result<std::vector<SegmentRow>> SnapshotRows(
       const StorePin& pin, const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr,
       RangeScanStats* stats = nullptr) const = 0;
+
+  /// SnapshotRows replayed in order into a RawDatabase (a duplicate row
+  /// collapses onto its first, lowest-seq occurrence): the rows a
+  /// Dataset is built from, without its tables.
+  Result<RawDatabase> ReplaySnapshot(const StorePin& pin,
+                                     const std::string* min_entity = nullptr,
+                                     const std::string* max_entity = nullptr,
+                                     RangeScanStats* stats = nullptr) const {
+    LTM_ASSIGN_OR_RETURN(const std::vector<SegmentRow> rows,
+                         SnapshotRows(pin, min_entity, max_entity, stats));
+    RawDatabase replayed;
+    for (const SegmentRow& row : rows) {
+      replayed.Add(row.entity, row.attribute, row.source);
+    }
+    return replayed;
+  }
+
+  /// Materializes from a pinned snapshot: ReplaySnapshot as a Dataset —
+  /// bit-identical to what a sequential materialize at the pinned epoch
+  /// would produce, regardless of partitioning.
+  Result<Dataset> MaterializeSnapshot(const StorePin& pin,
+                                      const std::string* min_entity = nullptr,
+                                      const std::string* max_entity = nullptr,
+                                      RangeScanStats* stats = nullptr) const {
+    LTM_ASSIGN_OR_RETURN(RawDatabase raw,
+                         ReplaySnapshot(pin, min_entity, max_entity, stats));
+    return Dataset::FromRaw("truthstore:" + dir(), std::move(raw));
+  }
 
   /// Bloom-only point probe against a pinned snapshot: false means the
   /// fact definitely does not exist at the pin's epoch.

@@ -147,15 +147,6 @@ WalRecord TruthStore::RawRowRecord(const RawDatabase& raw, const RawRow& row,
   return record;
 }
 
-Dataset TruthStore::DatasetFromRows(const std::string& dir,
-                                    const std::vector<SegmentRow>& rows) {
-  RawDatabase combined;
-  for (const SegmentRow& row : rows) {
-    combined.Add(row.entity, row.attribute, row.source);
-  }
-  return Dataset::FromRaw("truthstore:" + dir, std::move(combined));
-}
-
 std::string StoreVerifyReport::Summary() const {
   std::string s = "manifest generation " + std::to_string(generation) + ": " +
                   std::to_string(segments) + " segment(s), max level " +
@@ -661,6 +652,8 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
   // flushes proceed concurrently. Compaction reads bypass the block
   // cache — a one-shot full scan would only evict hot point-read blocks.
   std::vector<SegmentRow> rows;
+  LTM_ASSIGN_OR_RETURN(const size_t input_rows, FooterRows(inputs));
+  rows.reserve(input_rows);
   uint64_t bytes_read = 0;
   for (const SegmentInfo& seg : inputs) {
     LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
@@ -925,6 +918,17 @@ Result<std::shared_ptr<BlockSegmentReader>> TruthStore::GetReader(
   return it->second;
 }
 
+Result<size_t> TruthStore::FooterRows(
+    const std::vector<SegmentInfo>& segs) const {
+  size_t total = 0;
+  for (const SegmentInfo& seg : segs) {
+    LTM_ASSIGN_OR_RETURN(const std::shared_ptr<BlockSegmentReader> reader,
+                         GetReader(seg));
+    total += reader->footer().num_rows;
+  }
+  return total;
+}
+
 void TruthStore::DropSegmentCaches(uint64_t id) const {
   {
     MutexLock lock(readers_mu_);
@@ -940,6 +944,11 @@ Result<std::vector<SegmentRow>> TruthStore::CollectPinnedRows(
   const bool point_read = min_entity != nullptr && max_entity != nullptr &&
                           *min_entity == *max_entity;
   std::vector<SegmentRow> rows;
+  if (min_entity == nullptr && max_entity == nullptr) {
+    LTM_ASSIGN_OR_RETURN(const size_t segment_rows,
+                         FooterRows(pin.segments()));
+    rows.reserve(segment_rows + pin.memtable_rows().size());
+  }
   for (const SegmentInfo& seg : pin.segments()) {
     if ((min_entity != nullptr && seg.max_entity < *min_entity) ||
         (max_entity != nullptr && seg.min_entity > *max_entity)) {
@@ -993,14 +1002,11 @@ std::unique_ptr<StorePin> TruthStore::PinSnapshot(
   return PinEpoch(min_entity, max_entity);
 }
 
-Result<Dataset> TruthStore::MaterializeSnapshot(
+Result<std::vector<SegmentRow>> TruthStore::SnapshotRows(
     const StorePin& pin, const std::string* min_entity,
     const std::string* max_entity, RangeScanStats* stats) const {
   LTM_ASSIGN_OR_RETURN(const EpochPin* epoch_pin, IssuedPin<EpochPin>(pin));
-  LTM_ASSIGN_OR_RETURN(
-      const std::vector<SegmentRow> rows,
-      CollectPinnedRows(*epoch_pin, min_entity, max_entity, stats));
-  return DatasetFromRows(dir_, rows);
+  return CollectPinnedRows(*epoch_pin, min_entity, max_entity, stats);
 }
 
 Result<bool> TruthStore::SnapshotFactMayExist(

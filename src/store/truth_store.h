@@ -78,11 +78,11 @@ class TruthStore;
 /// never block appends, flushes, or compaction. Dropping the last pin on
 /// a superseded segment reclaims its file.
 ///
-/// Obtained from TruthStore::PinEpoch(); read via
-/// TruthStore::MaterializeSnapshot(). A pin created with entity bounds
-/// only holds the memtable rows inside those bounds — materializing a
-/// wider range from it would silently miss rows, so keep requests within
-/// the pin's bounds (MaterializeSnapshot re-applies its own bounds on top).
+/// Obtained from TruthStore::PinEpoch(); read via SnapshotRows() or
+/// MaterializeSnapshot(). A pin created with entity bounds only holds the
+/// memtable rows inside those bounds — reading a wider range from it
+/// would silently miss rows, so keep requests within the pin's bounds
+/// (the reads re-apply their own bounds on top).
 ///
 /// Thread-safe for concurrent reads; the handle itself must be destroyed
 /// on one thread. Must not outlive the TruthStore that issued it.
@@ -252,17 +252,16 @@ class TruthStore : public TruthStoreBase {
       const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr) const override;
 
-  /// Materializes from a pinned snapshot: collects the in-range rows of
-  /// every zone-overlapping segment (bloom-skipping segments on point
-  /// reads, reading only index-selected blocks through the block cache)
-  /// plus the pin's memtable rows, sorts them by ingest seq and re-adds
-  /// them in that order — the same replay order a sequential materialize
-  /// at the pin's epoch uses, so posteriors computed from a pin are
-  /// bit-identical. Never retries: the pin's refcounts guarantee every
-  /// referenced segment file still exists. `min_entity`/`max_entity`
+  /// The rows behind a pin: the in-range rows of every zone-overlapping
+  /// segment (bloom-skipping segments on point reads, seeking only
+  /// index-selected blocks through the block cache) plus the pin's
+  /// memtable rows, sorted by ingest seq — the replay order a sequential
+  /// materialize at the pin's epoch uses, so posteriors computed from a
+  /// pin are bit-identical. Never retries: the pin's refcounts guarantee
+  /// every referenced segment file still exists. `min_entity`/`max_entity`
   /// further restrict the read (must be within the pin's own bounds, if
   /// it has them).
-  Result<Dataset> MaterializeSnapshot(
+  Result<std::vector<SegmentRow>> SnapshotRows(
       const StorePin& pin, const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr,
       RangeScanStats* stats = nullptr) const override;
@@ -338,16 +337,11 @@ class TruthStore : public TruthStoreBase {
   static WalRecord RawRowRecord(const RawDatabase& raw, const RawRow& row,
                                 uint64_t seq);
 
-  /// Replays seq-sorted rows into a Dataset (duplicates collapse onto
-  /// their first, lowest-seq occurrence) — the one row-to-Dataset step
-  /// both stores' MaterializeSnapshot end with. `dir` names the store.
-  static Dataset DatasetFromRows(const std::string& dir,
-                                 const std::vector<SegmentRow>& rows);
-
   /// The raw rows behind a pin — every in-range segment row plus the
   /// pin's memtable rows, each carrying its ingest seq, sorted by seq.
-  /// NOT deduplicated; DatasetFromRows replays them. Also the input of
-  /// the partitioned store's cross-partition merge and rebalance copies.
+  /// NOT deduplicated. SnapshotRows behind an issuer check; also the
+  /// input of the partitioned store's cross-partition merge and rebalance
+  /// copies.
   Result<std::vector<SegmentRow>> CollectPinnedRows(
       const EpochPin& pin, const std::string* min_entity = nullptr,
       const std::string* max_entity = nullptr,
@@ -379,6 +373,10 @@ class TruthStore : public TruthStoreBase {
   /// Cached random-access reader for `seg`, opened on first use.
   Result<std::shared_ptr<BlockSegmentReader>> GetReader(
       const SegmentInfo& seg) const LTM_EXCLUDES(readers_mu_);
+  /// Rows in `segs` by their footers (each bounded by its file at Open),
+  /// so a full read can reserve once instead of regrowing a vector whose
+  /// freed buffers stay resident.
+  Result<size_t> FooterRows(const std::vector<SegmentInfo>& segs) const;
   /// Drops the cached reader and every cached block of segment `id`
   /// (called just before its file is deleted).
   void DropSegmentCaches(uint64_t id) const LTM_EXCLUDES(readers_mu_);

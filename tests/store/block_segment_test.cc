@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "store/block_cache.h"
 #include "store/block_format.h"
 #include "store/truth_store.h"
@@ -52,6 +54,56 @@ std::vector<SegmentRow> MakeRows(size_t num_entities, size_t attrs_per,
   return rows;
 }
 
+/// A seeded random segment's rows in SegmentRowOrder: `num_entities`
+/// shared-prefix entities with 1..24 rows each, so runs of one entity
+/// cross restart points and block boundaries.
+std::vector<SegmentRow> RandomSortedRows(uint64_t seed, size_t num_entities) {
+  Rng rng(seed);
+  std::vector<SegmentRow> rows;
+  uint64_t seq = 1;
+  for (size_t e = 0; e < num_entities; ++e) {
+    char entity[32];
+    std::snprintf(entity, sizeof(entity), "ent-%04zu", 3 * e + 1);
+    const size_t n = 1 + rng.UniformInt(24);
+    for (size_t r = 0; r < n; ++r) {
+      SegmentRow row;
+      row.entity = entity;
+      row.attribute = "a" + std::to_string(r / 3);
+      row.source = "s" + std::to_string(rng.UniformInt(6));
+      row.seq = seq++;
+      rows.push_back(std::move(row));
+    }
+  }
+  std::sort(rows.begin(), rows.end(), SegmentRowOrder);
+  return rows;
+}
+
+/// A hand-built two-restart block whose second restart entry encodes
+/// "apricot" as 2 bytes shared with "apple" + "ricot": a sequential
+/// decoder accepts it, but a restart entry must store its whole entity.
+std::string ForgedRestartBlock() {
+  std::string block;
+  const auto entry = [&](uint32_t shared, const std::string& unshared,
+                         uint64_t seq) {
+    PutVarint32(&block, shared);
+    PutVarint32(&block, static_cast<uint32_t>(unshared.size()));
+    block += unshared;
+    PutVarint32(&block, 1);
+    block += "a";
+    PutVarint32(&block, 2);
+    block += "s1";
+    PutVarint64(&block, seq);
+    block.push_back(1);
+  };
+  entry(0, "apple", 1);
+  const uint32_t second = static_cast<uint32_t>(block.size());
+  entry(2, "ricot", 2);
+  for (const uint32_t v : {0u, second, 2u}) {
+    block.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return block;
+}
+
 class BlockSegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -85,7 +137,7 @@ TEST_F(BlockSegmentTest, BlockBuilderRoundTripsAndPrefixCompresses) {
   EXPECT_EQ(*decoded, rows);
 
   // Cursor iteration sees the same rows one at a time.
-  auto cursor = BlockCursor::Parse(block, "test-block");
+  auto cursor = BlockCursor::Parse(block);
   ASSERT_TRUE(cursor.ok());
   size_t i = 0;
   SegmentRow row;
@@ -283,6 +335,113 @@ TEST_F(BlockSegmentTest, CorruptBytesAreRejectedWithAStatus) {
   BlockSegmentReader::ReadStats stats;
   auto block = (*reader)->ReadBlock(0, nullptr, &stats);
   EXPECT_FALSE(block.ok());
+}
+
+// The seek path against its oracle: for random segments at every restart
+// spacing, ReadRowsInRange (seek into the first block, stop past the
+// range) returns exactly the rows a decode-everything-then-filter pass
+// keeps, in the same order.
+TEST_F(BlockSegmentTest, SeekReadsMatchDecodeAllThenFilter) {
+  for (const size_t interval : {1, 2, 16, 100000}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("restart_interval " + std::to_string(interval) +
+                   ", seed " + std::to_string(seed));
+      const std::vector<SegmentRow> rows = RandomSortedRows(seed, 40);
+      BlockSegmentWriterOptions options;
+      options.block_size_bytes = 256;
+      options.restart_interval = interval;
+      const std::string path =
+          Path("seek-" + std::to_string(interval) + "-" + std::to_string(seed));
+      ASSERT_TRUE(WriteBlockSegment(path, rows, options).ok());
+      auto parsed = ParseBlockSegmentFromBytes(ReadFile(path), path);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      auto reader = BlockSegmentReader::Open(path, 1);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+
+      // The data must reach the cases the seek has to get right.
+      bool spans_block = false;
+      const std::vector<BlockHandle>& blocks = (*reader)->blocks();
+      for (size_t b = 1; b < blocks.size(); ++b) {
+        spans_block |= blocks[b - 1].last_entity == blocks[b].first_entity;
+      }
+      EXPECT_TRUE(spans_block);
+      size_t longest_run = 0;
+      for (size_t i = 0, run = 0; i < rows.size(); ++i) {
+        run = i > 0 && rows[i].entity == rows[i - 1].entity ? run + 1 : 1;
+        longest_run = std::max(longest_run, run);
+      }
+      if (interval < 100000) {
+        EXPECT_GT(longest_run, interval);  // a run crosses a restart point
+      }
+
+      const auto check = [&](const std::string* lo, const std::string* hi) {
+        std::vector<SegmentRow> want;
+        for (const SegmentRow& row : parsed->rows) {
+          if ((lo == nullptr || row.entity >= *lo) &&
+              (hi == nullptr || row.entity <= *hi)) {
+            want.push_back(row);
+          }
+        }
+        std::vector<SegmentRow> got;
+        BlockSegmentReader::ReadStats stats;
+        const Status st =
+            (*reader)->ReadRowsInRange(lo, hi, nullptr, &stats, &got);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(got, want) << "[" << (lo ? *lo : "-inf") << ", "
+                             << (hi ? *hi : "+inf") << "]";
+      };
+      // Every entity as a point read, and as both ends of an open range.
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (i > 0 && rows[i].entity == rows[i - 1].entity) continue;
+        const std::string& e = rows[i].entity;
+        check(&e, &e);
+        check(nullptr, &e);
+        check(&e, nullptr);
+      }
+      // Keys between, before and after the entities; empty ranges.
+      const std::string before = "ent-0000", after = "ent-9999";
+      const std::string gap_lo = "ent-0011", gap_hi = "ent-0012";
+      const std::string mid_lo = "ent-0030", mid_hi = "ent-0080";
+      check(&before, &before);
+      check(&after, &after);
+      check(&gap_lo, &gap_hi);        // between entities 10 and 13
+      check(&mid_hi, &mid_lo);        // min > max
+      check(&mid_lo, &mid_hi);
+      check(&before, &mid_lo);
+      check(&mid_hi, &after);
+      check(nullptr, &before);
+      check(&after, nullptr);
+      check(nullptr, nullptr);
+      Rng rng(seed * 31 + interval);
+      for (int q = 0; q < 50; ++q) {
+        char lo[16], hi[16];
+        const size_t a = rng.UniformInt(130), b = a + rng.UniformInt(20);
+        std::snprintf(lo, sizeof(lo), "ent-%04zu", a);
+        std::snprintf(hi, sizeof(hi), "ent-%04zu", b);
+        const std::string slo = lo, shi = hi;
+        check(&slo, &shi);
+      }
+    }
+  }
+}
+
+TEST_F(BlockSegmentTest, SeekRejectsARestartEntryWithASharedPrefix) {
+  const std::string block = ForgedRestartBlock();
+  // Decoding from byte 0 expands the prefix against the previous row.
+  auto decoded = DecodeBlockRows(block, "forged");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 2u);
+  EXPECT_EQ((*decoded)[1].entity, "apricot");
+
+  for (const char* target : {"", "apple", "apricot", "b"}) {
+    auto cursor = BlockCursor::Parse(block);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    ASSERT_EQ(cursor->num_restarts(), 2u);
+    const Status st = cursor->Seek(target);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << target;
+    EXPECT_NE(st.message().find("restart 1"), std::string::npos)
+        << st.message();
+  }
 }
 
 // The read-path acceptance pin: with >= 8 segments on disk, a point fact
