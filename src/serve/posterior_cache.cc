@@ -1,7 +1,7 @@
-#include "store/posterior_cache.h"
+#include "serve/posterior_cache.h"
 
 namespace ltm {
-namespace store {
+namespace serve {
 
 PosteriorCache::PosteriorCache(size_t capacity, obs::MetricsRegistry* metrics)
     : capacity_(capacity),
@@ -106,5 +106,5 @@ size_t PosteriorCache::size() const {
   return lru_.size();
 }
 
-}  // namespace store
+}  // namespace serve
 }  // namespace ltm

@@ -1,5 +1,5 @@
-#ifndef LTM_STORE_POSTERIOR_CACHE_H_
-#define LTM_STORE_POSTERIOR_CACHE_H_
+#ifndef LTM_SERVE_POSTERIOR_CACHE_H_
+#define LTM_SERVE_POSTERIOR_CACHE_H_
 
 #include <cstdint>
 #include <list>
@@ -14,14 +14,16 @@
 #include "obs/metrics.h"
 
 namespace ltm {
-namespace store {
+namespace serve {
 
 /// A single-lock snapshot of the cache's counters. The counters live in
 /// a MetricsRegistry (`ltm_cache_posterior_*`) but every increment still
 /// happens under the cache mutex, and Stats() reads them in the same
 /// critical section — so the numbers stay mutually consistent (hits +
 /// misses equals the number of Get calls at the instant of the snapshot,
-/// even under concurrent readers).
+/// even under concurrent readers). Caches registered in one registry
+/// share the counters, so those fields are then totals across the
+/// caches; size and capacity are always this cache's own.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -41,8 +43,11 @@ struct CacheStats {
 /// version — it advances on every append and every manifest commit — so
 /// an entry computed before new evidence arrived can never be served
 /// afterwards: a Get with a newer epoch treats the stale entry as a miss
-/// and evicts it. This is what lets StreamingPipeline answer repeated
-/// online reads without refitting (§5.4 serving).
+/// and evicts it. This is what lets a ServeSession answer repeated online
+/// reads without refitting (§5.4 serving). Each ServeSession owns one:
+/// a posterior depends on the session's installed source quality, not
+/// only on the stored claims, so the cache is serving state, not store
+/// state.
 class PosteriorCache {
  public:
   /// `metrics` is where the `ltm_cache_posterior_*` counters register
@@ -116,7 +121,7 @@ class PosteriorCache {
       LTM_GUARDED_BY(mutex_);
 };
 
-}  // namespace store
+}  // namespace serve
 }  // namespace ltm
 
-#endif  // LTM_STORE_POSTERIOR_CACHE_H_
+#endif  // LTM_SERVE_POSTERIOR_CACHE_H_

@@ -10,32 +10,6 @@
 namespace ltm {
 namespace serve {
 
-namespace {
-
-/// True when the already-queued trigger `queued` covers `epochs`: same
-/// layout and at least as far along in every partition, so one refit at
-/// `queued` materializes everything `epochs` asked for.
-bool Subsumes(const std::vector<uint64_t>& queued,
-              const std::vector<uint64_t>& epochs) {
-  if (queued.size() != epochs.size()) return false;
-  for (size_t p = 0; p < queued.size(); ++p) {
-    if (queued[p] < epochs[p]) return false;
-  }
-  return true;
-}
-
-std::string FormatEpochs(const std::vector<uint64_t>& epochs) {
-  std::string out = "[";
-  for (size_t p = 0; p < epochs.size(); ++p) {
-    if (p > 0) out += ",";
-    out += std::to_string(epochs[p]);
-  }
-  out += "]";
-  return out;
-}
-
-}  // namespace
-
 RefitScheduler::RefitScheduler(ThreadPool* pool, RefitFn fn,
                                RefitSchedulerOptions options,
                                uint64_t initial_fit_epoch,
@@ -46,7 +20,6 @@ RefitScheduler::RefitScheduler(ThreadPool* pool, RefitFn fn,
       owned_metrics_(metrics == nullptr
                          ? std::make_unique<obs::MetricsRegistry>()
                          : nullptr),
-      last_fit_epochs_{initial_fit_epoch},
       last_fit_epoch_(initial_fit_epoch) {
   obs::MetricsRegistry* reg =
       metrics != nullptr ? metrics : owned_metrics_.get();
@@ -67,65 +40,45 @@ RefitScheduler::~RefitScheduler() {
   Drain();
 }
 
+bool RefitScheduler::ShouldTriggerLocked(uint64_t epoch) const {
+  return epoch >= last_fit_epoch_ + options_.debounce_epochs;
+}
+
 Status RefitScheduler::NotifyEpoch(uint64_t epoch) {
-  return NotifyPartitionEpochs(std::vector<uint64_t>{epoch});
-}
-
-bool RefitScheduler::ShouldTriggerLocked(
-    const std::vector<uint64_t>& epochs) const {
-  // A layout change (split/merge happened since the last fit) always
-  // fires: the baseline's slots no longer describe the same key ranges.
-  if (epochs.size() != last_fit_epochs_.size()) return true;
-  for (size_t p = 0; p < epochs.size(); ++p) {
-    if (epochs[p] >= last_fit_epochs_[p] + options_.debounce_epochs) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Status RefitScheduler::NotifyPartitionEpochs(
-    const std::vector<uint64_t>& epochs) {
-  if (epochs.empty()) return Status::OK();
   MutexLock lock(mu_);
-  if (!ShouldTriggerLocked(epochs)) return Status::OK();
+  if (!ShouldTriggerLocked(epoch)) return Status::OK();
   if (in_flight_) {
     // The running fit may already cover this trigger; conservatively
     // queue unless an equal-or-newer trigger is already waiting (one
     // refit materializes everything, so the newest trigger subsumes the
     // rest).
-    if (!pending_.empty() && Subsumes(pending_.back(), epochs)) {
-      return Status::OK();
-    }
+    if (!pending_.empty() && pending_.back() >= epoch) return Status::OK();
     if (pending_.size() >= options_.max_queue) {
       pending_.pop_front();
       shed_->Increment();
-      pending_.push_back(epochs);
+      pending_.push_back(epoch);
       queue_depth_gauge_->Set(static_cast<int64_t>(pending_.size()));
       return Status::ResourceExhausted(
           "refit queue full (refit_queue=" +
           std::to_string(options_.max_queue) +
           "); shed the oldest pending trigger");
     }
-    pending_.push_back(epochs);
+    pending_.push_back(epoch);
     queue_depth_gauge_->Set(static_cast<int64_t>(pending_.size()));
     return Status::OK();
   }
   in_flight_ = true;
   in_flight_gauge_->Set(1);
-  LaunchLocked(epochs);
+  LaunchLocked(epoch);
   return Status::OK();
 }
 
-void RefitScheduler::LaunchLocked(std::vector<uint64_t> epochs) {
+void RefitScheduler::LaunchLocked(uint64_t epoch) {
   scheduled_->Increment();
-  pool_->Submit(
-      [this, snapshot = std::move(epochs)]() mutable {
-        RunOne(std::move(snapshot));
-      });
+  pool_->Submit([this, epoch] { RunOne(epoch); });
 }
 
-void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
+void RefitScheduler::RunOne(uint64_t epoch) {
   RunContext ctx;
   ctx.cancel = &cancel_;
   Result<uint64_t> fit = [&]() {
@@ -136,37 +89,30 @@ void RefitScheduler::RunOne(std::vector<uint64_t> epochs) {
   MutexLock lock(mu_);
   if (fit.ok()) {
     completed_->Increment();
-    last_fit_epoch_ = *fit;
-    // Re-arm the debounce at the trigger snapshot. The fit itself only
-    // reports a composite epoch, so the per-slot baseline comes from
-    // the trigger — except in the single-store shape, where the fit's
-    // epoch is exact and at least the trigger's: taking the max there
-    // keeps the scalar scheduler's historical behavior (appends racing
-    // the fit count against the *fitted* epoch, not the trigger).
-    if (epochs.size() == 1) epochs[0] = std::max(epochs[0], *fit);
-    last_fit_epochs_ = std::move(epochs);
+    // Re-arm the debounce at the fitted epoch (at least the trigger's):
+    // appends racing the fit count against what the fit covered.
+    last_fit_epoch_ = std::max(epoch, *fit);
     last_fit_epoch_gauge_->Set(static_cast<int64_t>(last_fit_epoch_));
   } else {
     // Leave the baseline alone: the next notification past the
     // threshold retries.
     failed_->Increment();
-    LTM_LOG(Warning) << "serve: background refit (trigger epochs "
-                     << FormatEpochs(epochs)
+    LTM_LOG(Warning) << "serve: background refit (trigger epoch " << epoch
                      << ") failed: " << fit.status().ToString();
   }
   // One fit covers all queued triggers up to its snapshot; only the
   // newest still-uncovered trigger warrants another pass.
-  std::vector<uint64_t> next;
+  uint64_t next = 0;
   bool launch = false;
   if (!pending_.empty()) {
-    next = std::move(pending_.back());
+    next = pending_.back();
     pending_.clear();
     launch = !cancel_.load(std::memory_order_relaxed) &&
              ShouldTriggerLocked(next);
   }
   queue_depth_gauge_->Set(0);
   if (launch) {
-    LaunchLocked(std::move(next));  // in_flight_ stays true via the chain
+    LaunchLocked(next);  // in_flight_ stays true via the chain
   } else {
     in_flight_ = false;
     in_flight_gauge_->Set(0);

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -46,15 +45,11 @@ struct RefitSchedulerStats {
 /// debounce. The destructor cancels the callback's RunContext and drains
 /// the queue.
 ///
-/// Debouncing is per partition: NotifyPartitionEpochs takes the store's
-/// epoch vector (one slot per entity-range partition, size 1 for a
-/// single TruthStore) and fires when ANY slot advanced debounce_epochs
-/// past the baseline captured at the last fit — so a burst confined to
-/// one hot partition triggers exactly as fast as on an unpartitioned
-/// store, instead of being diluted across the composite sum. A vector
-/// whose length differs from the baseline's (the store split or merged
-/// partitions) always fires: a rebalance rewrote the layout and the
-/// per-slot comparison is meaningless until a fit re-baselines.
+/// The scheduler debounces one scalar: the store's epoch(). For a
+/// partitioned store that is the composite epoch — the sum of the child
+/// epochs, kept strictly monotone across rebalances — which counts the
+/// same appends a single store would, so a burst confined to one hot
+/// partition triggers exactly as fast as on an unpartitioned store.
 class RefitScheduler {
  public:
   /// `fn` runs on `pool` threads; it must be safe to call from one
@@ -76,21 +71,12 @@ class RefitScheduler {
   RefitScheduler(RefitScheduler&&) = delete;
   RefitScheduler& operator=(RefitScheduler&&) = delete;
 
-  /// Observes that the store reached `epoch` (single-store form;
-  /// equivalent to NotifyPartitionEpochs({epoch})). Schedules (or
-  /// queues) a refit when the debounce threshold is crossed. Returns OK
-  /// when nothing needed doing or the trigger was admitted;
-  /// ResourceExhausted when admitting it shed the oldest pending
-  /// trigger.
+  /// Observes that the store reached `epoch` (TruthStoreBase::epoch()).
+  /// Schedules (or queues) a refit once `epoch` is debounce_epochs past
+  /// the last fit. Returns OK when nothing needed doing or the trigger
+  /// was admitted; ResourceExhausted when admitting it shed the oldest
+  /// pending trigger.
   Status NotifyEpoch(uint64_t epoch) LTM_EXCLUDES(mu_);
-
-  /// Observes the store's per-partition epoch vector (in partition
-  /// order, as returned by TruthStoreBase::PartitionEpochs). Fires when
-  /// any slot advanced past its debounce baseline, or when the layout
-  /// changed (vector length differs from the baseline's). Same admission
-  /// semantics as NotifyEpoch.
-  Status NotifyPartitionEpochs(const std::vector<uint64_t>& epochs)
-      LTM_EXCLUDES(mu_);
 
   /// Blocks until no job is running and nothing is pending.
   void Drain() LTM_EXCLUDES(mu_);
@@ -98,16 +84,14 @@ class RefitScheduler {
   RefitSchedulerStats Stats() const LTM_EXCLUDES(mu_);
 
  private:
-  /// True when `epochs` crosses the debounce threshold against the
-  /// current baseline (any slot advanced enough, or the layout changed).
-  bool ShouldTriggerLocked(const std::vector<uint64_t>& epochs) const
-      LTM_REQUIRES(mu_);
-  /// Submits the pool job for the trigger snapshot `epochs`; in_flight_
-  /// must already be set.
-  void LaunchLocked(std::vector<uint64_t> epochs) LTM_REQUIRES(mu_);
+  /// True when `epoch` is at least debounce_epochs past the last fit.
+  bool ShouldTriggerLocked(uint64_t epoch) const LTM_REQUIRES(mu_);
+  /// Submits the pool job for the trigger epoch; in_flight_ must already
+  /// be set.
+  void LaunchLocked(uint64_t epoch) LTM_REQUIRES(mu_);
   /// Pool-job body: runs fn_, re-baselines on success, chains the next
   /// pending trigger if its debounce still holds.
-  void RunOne(std::vector<uint64_t> epochs) LTM_EXCLUDES(mu_);
+  void RunOne(uint64_t epoch) LTM_EXCLUDES(mu_);
 
   ThreadPool* const pool_;
   const RefitFn fn_;
@@ -130,15 +114,12 @@ class RefitScheduler {
 
   mutable Mutex mu_;
   CondVar idle_cv_;
-  /// Pending trigger snapshots (per-partition epoch vectors). The newest
-  /// subsumes older ones elementwise, so the deque rarely grows.
-  std::deque<std::vector<uint64_t>> pending_ LTM_GUARDED_BY(mu_);
+  /// Pending trigger epochs. The newest subsumes older ones, so the
+  /// deque rarely grows.
+  std::deque<uint64_t> pending_ LTM_GUARDED_BY(mu_);
   bool in_flight_ LTM_GUARDED_BY(mu_) = false;
-  /// Debounce baseline: the per-partition epochs captured by the trigger
-  /// whose fit last completed. Starts as {initial_fit_epoch}.
-  std::vector<uint64_t> last_fit_epochs_ LTM_GUARDED_BY(mu_);
-  /// Composite epoch the last successful fit covered (stats/gauge only;
-  /// the per-slot baseline above is what debounces).
+  /// Debounce baseline: the epoch the last successful fit covered (the
+  /// fit's reported epoch, or its trigger's when that is newer).
   uint64_t last_fit_epoch_ LTM_GUARDED_BY(mu_);
 };
 

@@ -43,9 +43,10 @@ struct ServeOptions {
   /// (reported as ResourceExhausted). Must be >= 1.
   size_t refit_queue = 1;
 
-  /// Sharded data-block cache budget (MiB) for the served store; together
-  /// with the PosteriorCache this is the session's read-side memory
-  /// budget, set from one spec string. 0 disables the block cache.
+  /// Sharded data-block cache budget (MiB) for the served store; with
+  /// the session's fixed-size posterior cache
+  /// (ServeSession::kPosteriorCacheCapacity entries) this is the
+  /// read-side memory budget. 0 disables the block cache.
   size_t block_cache_mb = 8;
 
   /// Bloom filter bits per key for segments the served store writes

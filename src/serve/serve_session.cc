@@ -25,7 +25,8 @@ ServeSession::ServeSession(ext::StreamingPipeline* pipeline,
     : pipeline_(pipeline),
       store_(pipeline->attached_store()),
       options_(options),
-      ltm_options_(pipeline->options().ltm) {
+      ltm_options_(pipeline->options().ltm),
+      cache_(kPosteriorCacheCapacity, store_->metrics()) {
   obs::MetricsRegistry* reg = store_->metrics();
   queries_ = reg->counter("ltm_serve_queries_total");
   snapshot_queries_ = reg->counter("ltm_serve_snapshot_queries_total");
@@ -100,9 +101,8 @@ void ServeSession::InstallQualityLocked() {
   quality_version_gauge_->Set(static_cast<int64_t>(next->version));
   quality_ = std::move(next);
   // A new fit changes every posterior at an unchanged epoch, so cached
-  // entries keyed under older quality versions must go — from every
-  // partition's cache.
-  store_->ClearPosteriorCaches();
+  // entries keyed under older quality versions must go.
+  cache_.Clear();
 }
 
 std::shared_ptr<const ServeSession::VersionedQuality>
@@ -113,7 +113,7 @@ ServeSession::CurrentQuality() const {
 
 Status ServeSession::NotifyIngest() {
   if (scheduler_ == nullptr) return Status::OK();
-  return scheduler_->NotifyPartitionEpochs(store_->PartitionEpochs());
+  return scheduler_->NotifyEpoch(store_->epoch());
 }
 
 Result<double> ServeSession::Query(const FactRef& fact,
@@ -125,7 +125,7 @@ Result<double> ServeSession::Query(const FactRef& fact,
   // NotifyIngest); admission feedback from a read-side poke is folded
   // into Stats().refit rather than failing the read.
   if (scheduler_ != nullptr) {
-    (void)scheduler_->NotifyPartitionEpochs(store_->PartitionEpochs());
+    (void)scheduler_->NotifyEpoch(store_->epoch());
   }
   Result<double> result = QueryInner(fact, ctx);
   if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
@@ -141,7 +141,7 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
   const std::shared_ptr<const VersionedQuality> quality = CurrentQuality();
   const std::string fact_key = FactKey(fact);
   const std::string cache_key = CacheKey(fact_key, quality->version);
-  if (const auto hit = cache_for(fact.entity).Get(cache_key, store_->epoch())) {
+  if (const auto hit = cache_.Get(cache_key, store_->epoch())) {
     return *hit;
   }
 
@@ -208,7 +208,7 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
   if (it == entry->score.posteriors.end()) {
     // The slice fill only covered facts that exist; cache the no-claim
     // prior for this queried-but-absent fact so repeat lookups hit.
-    cache_for(fact.entity).Put(cache_key, entry->score.epoch, posterior);
+    cache_.Put(cache_key, entry->score.epoch, posterior);
   }
   return posterior;
 }
@@ -230,10 +230,7 @@ Result<ServeSession::SliceScore> ServeSession::ComputeEntitySlice(
     std::string key(scored.entity);
     key += "\t";
     key += scored.attribute;
-    // The rows span exactly [entity, entity], so every fact lives in
-    // `entity`'s partition cache.
-    cache_for(entity).Put(CacheKey(key, quality.version), out.epoch,
-                          scored.posterior);
+    cache_.Put(CacheKey(key, quality.version), out.epoch, scored.posterior);
     out.posteriors.emplace(std::move(key), scored.posterior);
   }
   return out;
@@ -273,10 +270,9 @@ Result<std::vector<ServedFact>> ServeSession::QueryEntityRange(
     const ServedFact& served = out.emplace_back(
         ServedFact{std::string(scored.entity), std::string(scored.attribute),
                    scored.posterior});
-    cache_for(served.entity)
-        .Put(CacheKey(served.entity + "\t" + served.attribute,
-                      quality->version),
-             pin->epoch(), served.posterior);
+    cache_.Put(CacheKey(served.entity + "\t" + served.attribute,
+                        quality->version),
+               pin->epoch(), served.posterior);
   }
   // Facts come back in first-appearance (global *ingest*) order — the
   // scoring above depends on it. The API contract is global
@@ -302,17 +298,17 @@ ServeStats ServeSession::Stats() const {
   stats.coalesced = coalesced_->Value();
   stats.shed = shed_->Value();
   stats.slice_computes = slice_computes_->Value();
-  stats.cache = store_->PosteriorCacheStats();
+  stats.cache = cache_.Stats();
   const store::TruthStoreStats store_stats = store_->Stats();
   stats.block_cache = store_stats.block_cache;
   stats.bloom_point_skips = store_stats.bloom_point_skips;
   if (scheduler_ != nullptr) stats.refit = scheduler_->Stats();
-  stats.epoch = store_->epoch();
+  stats.epoch = store_stats.epoch;
   {
     MutexLock lock(mu_);
     stats.quality_version = quality_->version;
   }
-  stats.live_pins = store_->num_pinned_epochs();
+  stats.live_pins = store_stats.live_pins;
   stats.latency = query_micros_->Snapshot();
   stats.unix_micros = static_cast<int64_t>(obs::NowUnixMicros());
   return stats;
@@ -327,7 +323,7 @@ Result<double> ServeSnapshot::Query(const FactRef& fact,
   const std::string fact_key = ServeSession::FactKey(fact);
   const std::string cache_key =
       ServeSession::CacheKey(fact_key, quality_->version);
-  store::PosteriorCache& cache = session_->cache_for(fact.entity);
+  PosteriorCache& cache = session_->cache_;
   if (const auto hit = cache.Get(cache_key, pin_->epoch())) {
     session_->query_micros_->Record(ElapsedMicros(timer));
     return *hit;

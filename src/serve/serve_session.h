@@ -16,9 +16,9 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "serve/fact_scoring.h"
+#include "serve/posterior_cache.h"
 #include "serve/refit_scheduler.h"
 #include "serve/serve_options.h"
-#include "store/posterior_cache.h"
 #include "store/store_base.h"
 #include "truth/truth_method.h"
 
@@ -48,7 +48,9 @@ struct ServeStats {
   uint64_t coalesced = 0;       ///< Queries that joined another's slice compute.
   uint64_t shed = 0;            ///< Queries rejected by admission control.
   uint64_t slice_computes = 0;  ///< Entity-slice materialize+score passes led.
-  store::CacheStats cache;
+  /// The session's posterior cache (see PosteriorCache; counters are
+  /// totals across the sessions sharing the store's registry).
+  CacheStats cache;
   /// The served store's data-block cache (hits/misses/evictions/bytes).
   store::BlockCacheStats block_cache;
   /// Point probes answered "fact cannot exist" purely from segment bloom
@@ -81,17 +83,24 @@ class ServeSnapshot;
 ///     appends, flushes, compactions, and partition rebalances proceed
 ///     concurrently and a compaction can never delete a segment file out
 ///     from under a reader.
+///   - One posterior cache per session: a posterior depends on the
+///     session's installed quality, so the session (not the store) owns
+///     its PosteriorCache, kPosteriorCacheCapacity entries over every
+///     partition. Its `ltm_cache_posterior_*` metrics register in the
+///     store's registry.
 ///   - Duplicate-query coalescing: concurrent cache-missing lookups for
 ///     the same (entity, quality version) share one slice
-///     materialization and one PosteriorCache fill (singleflight); a
-///     leader may linger ServeOptions::batch_window_us before computing
-///     so near-simultaneous lookups pile on.
+///     materialization and one cache fill (singleflight); a leader may
+///     linger ServeOptions::batch_window_us before computing so
+///     near-simultaneous lookups pile on.
 ///   - Admission control: at most ServeOptions::max_inflight distinct
 ///     slice computations run at once; a query that would start one more
 ///     is shed with ResourceExhausted (cache hits and coalesced joins
 ///     are always admitted).
 ///   - Background refits: with ServeOptions::refit_debounce_epochs > 0,
-///     epoch advances debounce into Gibbs refits on a ThreadPool (see
+///     advances of the store's scalar epoch() (for a partitioned store
+///     the composite epoch, which counts the same appends a single store
+///     would) debounce into Gibbs refits on a ThreadPool (see
 ///     RefitScheduler); queries keep serving the previous quality until
 ///     the new fit installs (the install bumps the quality version and
 ///     clears the cache).
@@ -110,6 +119,9 @@ class ServeSnapshot;
 /// (TruthStore::Append*) plus NotifyIngest() is always safe.
 class ServeSession {
  public:
+  /// Entries in the session's posterior cache.
+  static constexpr size_t kPosteriorCacheCapacity = 4096;
+
   /// Validates options, captures the pipeline's current quality, and —
   /// when options.refit_debounce_epochs > 0 — starts the background
   /// refit scheduler on `pool` (ThreadPool::Shared() when null).
@@ -216,12 +228,6 @@ class ServeSession {
   /// publishes them (new version, cache cleared).
   void InstallQualityLocked() LTM_REQUIRES(pipeline_mu_);
 
-  /// The cache slot serving `entity` — per-partition for a partitioned
-  /// store, so one hot partition cannot evict the whole working set.
-  store::PosteriorCache& cache_for(std::string_view entity) {
-    return store_->posterior_cache_for(entity);
-  }
-
   static std::string FactKey(const FactRef& fact) {
     return fact.entity + "\t" + fact.attribute;
   }
@@ -233,6 +239,7 @@ class ServeSession {
   store::TruthStoreBase* const store_;
   const ServeOptions options_;
   const LtmOptions ltm_options_;
+  PosteriorCache cache_;
 
   /// Serializes every touch of pipeline_ (background refits and quality
   /// rebuilds). Ordered before mu_: a thread holding mu_ never acquires

@@ -32,8 +32,8 @@ struct BlockCacheStats {
 
 /// Sharded LRU cache of verified data-block bytes, keyed
 /// (segment id, block offset) and charged by block size — the layer under
-/// PosteriorCache that turns a repeat point lookup's one block read into
-/// zero. Sharding splits the key space over independent LRU lists with
+/// a serving session's posterior cache that turns a repeat point lookup's
+/// one block read into zero. Sharding splits the key space over independent LRU lists with
 /// one mutex each, so concurrent readers on different blocks rarely
 /// contend on a lock.
 ///

@@ -129,9 +129,6 @@ TruthStoreOptions PartitionedTruthStore::ChildOptions(uint64_t id,
   TruthStoreOptions opts = options_.store;
   opts.metrics = metrics_;
   opts.metrics_label = "partition=\"" + std::to_string(id) + "\"";
-  // The router owns the per-slot posterior caches; the child's own cache
-  // would never be consulted.
-  opts.posterior_cache_capacity = 0;
   if (count > 1 && opts.block_cache_mb > 0) {
     opts.block_cache_mb = std::max<size_t>(1, opts.block_cache_mb / count);
   }
@@ -157,7 +154,6 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
   // Recovery writes the guarded routing table directly; no other thread
   // can see the store yet, but the analysis still wants the capability.
   WriterMutexLock lock(st->table_mu_);
-  const size_t posterior_capacity = st->options_.store.posterior_cache_capacity;
 
   Result<PartitionMap> loaded = LoadPartitionMap(dir);
   if (!loaded.ok() && loaded.status().code() == StatusCode::kNotFound) {
@@ -259,15 +255,7 @@ Result<std::unique_ptr<PartitionedTruthStore>> PartitionedTruthStore::Open(
     next_seq = std::max(next_seq, child->Stats().next_row_seq);
   }
   st->next_seq_.store(next_seq, std::memory_order_relaxed);
-  const size_t count = st->children_.size();
-  for (size_t i = 0; i < count; ++i) {
-    st->caches_.push_back(std::make_unique<PosteriorCache>(
-        posterior_capacity == 0
-            ? 0
-            : std::max<size_t>(1, posterior_capacity / count),
-        st->metrics_));
-  }
-  st->partitions_gauge_->Set(static_cast<int64_t>(count));
+  st->partitions_gauge_->Set(static_cast<int64_t>(st->children_.size()));
   st->map_generation_gauge_->Set(static_cast<int64_t>(st->map_.generation));
   return st;
 }
@@ -388,16 +376,6 @@ Status PartitionedTruthStore::SwapTableLocked(
   }
   children_ = std::move(next_children);
   map_ = std::move(next_map);
-  // The slot-cache vector only grows (see the member comment); a merge
-  // leaves its tail slots idle rather than invalidating references.
-  const size_t posterior_capacity = options_.store.posterior_cache_capacity;
-  while (caches_.size() < children_.size()) {
-    caches_.push_back(std::make_unique<PosteriorCache>(
-        posterior_capacity == 0
-            ? 0
-            : std::max<size_t>(1, posterior_capacity / children_.size()),
-        metrics_));
-  }
   // Keep the composite epoch strictly monotone across the swap: pick the
   // offset that lands it at exactly composite_before + 1.
   int64_t sum_new = 0;
@@ -699,16 +677,6 @@ size_t PartitionedTruthStore::num_partitions() const {
   return children_.size();
 }
 
-std::vector<uint64_t> PartitionedTruthStore::PartitionEpochs() const {
-  ReaderMutexLock lock(table_mu_);
-  std::vector<uint64_t> epochs;
-  epochs.reserve(children_.size());
-  for (const std::shared_ptr<TruthStore>& child : children_) {
-    epochs.push_back(child->epoch());
-  }
-  return epochs;
-}
-
 PartitionMap PartitionedTruthStore::partition_map() const {
   ReaderMutexLock lock(table_mu_);
   return map_;
@@ -733,39 +701,6 @@ std::vector<TruthStoreStats> PartitionedTruthStore::PartitionStats() const {
     out.push_back(child->Stats());
   }
   return out;
-}
-
-PosteriorCache& PartitionedTruthStore::posterior_cache_for(
-    std::string_view entity) {
-  ReaderMutexLock lock(table_mu_);
-  return *caches_[FindPartition(map_, entity)];
-}
-
-void PartitionedTruthStore::ClearPosteriorCaches() {
-  ReaderMutexLock lock(table_mu_);
-  for (const std::unique_ptr<PosteriorCache>& cache : caches_) {
-    cache->Clear();
-  }
-}
-
-CacheStats PartitionedTruthStore::PosteriorCacheStats() const {
-  ReaderMutexLock lock(table_mu_);
-  CacheStats total;
-  for (const std::unique_ptr<PosteriorCache>& cache : caches_) {
-    const CacheStats c = cache->Stats();
-    total.hits += c.hits;
-    total.misses += c.misses;
-    total.coalesced += c.coalesced;
-    total.puts += c.puts;
-    total.evictions += c.evictions;
-    total.size += c.size;
-    total.capacity += c.capacity;
-  }
-  return total;
-}
-
-size_t PartitionedTruthStore::num_pinned_epochs() const {
-  return static_cast<size_t>(live_pins_.load(std::memory_order_relaxed));
 }
 
 size_t PartitionedTruthStore::num_retired_partitions() const {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -25,9 +24,8 @@ class PartitionedTruthStore;
 struct PartitionedStoreOptions {
   /// Template for every child store. Per-child fields are overridden by
   /// the router: metrics_label gets `partition="<index>"`, metrics points
-  /// at the router's registry, and block_cache_mb /
-  /// posterior_cache_capacity are divided across the partitions so the
-  /// configured budgets stay totals.
+  /// at the router's registry, and block_cache_mb is divided across the
+  /// partitions so the configured budget stays a total.
   TruthStoreOptions store;
 
   /// Initial partition count when creating a fresh store (>= 1). An
@@ -173,8 +171,6 @@ class PartitionedTruthStore : public TruthStoreBase {
   TruthStoreStats Stats() const override LTM_EXCLUDES(table_mu_);
 
   size_t num_partitions() const override LTM_EXCLUDES(table_mu_);
-  std::vector<uint64_t> PartitionEpochs() const override
-      LTM_EXCLUDES(table_mu_);
 
   /// Copy of the current partition map (observability: store_cli
   /// inspect/verify print it).
@@ -186,12 +182,6 @@ class PartitionedTruthStore : public TruthStoreBase {
   std::vector<TruthStoreStats> PartitionStats() const
       LTM_EXCLUDES(table_mu_);
 
-  PosteriorCache& posterior_cache_for(std::string_view entity) override
-      LTM_EXCLUDES(table_mu_);
-  void ClearPosteriorCaches() override LTM_EXCLUDES(table_mu_);
-  CacheStats PosteriorCacheStats() const override LTM_EXCLUDES(table_mu_);
-
-  size_t num_pinned_epochs() const override;
   /// Retired (split/merged-away) partitions whose directories are kept
   /// for live pins.
   size_t num_retired_partitions() const LTM_EXCLUDES(retired_mu_);
@@ -212,7 +202,7 @@ class PartitionedTruthStore : public TruthStoreBase {
   PartitionedTruthStore(std::string dir, PartitionedStoreOptions options);
 
   /// Child options for partition `id` in a layout of `count` partitions
-  /// (partition label, divided cache budgets).
+  /// (partition label, divided block-cache budget).
   TruthStoreOptions ChildOptions(uint64_t id, size_t count) const;
 
   uint64_t CompositeEpochLocked() const LTM_REQUIRES_SHARED(table_mu_);
@@ -255,14 +245,6 @@ class PartitionedTruthStore : public TruthStoreBase {
   mutable SharedMutex table_mu_;
   PartitionMap map_ LTM_GUARDED_BY(table_mu_);
   std::vector<std::shared_ptr<TruthStore>> children_ LTM_GUARDED_BY(table_mu_);
-  /// Per-slot posterior caches, owned by the router (NOT the children)
-  /// so a rebalance cannot invalidate a reference a serving thread
-  /// holds: the vector only ever grows (a merge leaves its tail slots
-  /// idle) and the pointed-to caches are never destroyed before the
-  /// store. Composite epochs advance on every swap, so entries cached
-  /// for a previous layout simply miss.
-  mutable std::vector<std::unique_ptr<PosteriorCache>> caches_
-      LTM_GUARDED_BY(table_mu_);
 
   /// Global ingest sequence counter; recovered on open as the max child
   /// next_row_seq.

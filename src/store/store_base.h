@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -13,7 +12,6 @@
 #include "obs/metrics.h"
 #include "store/block_cache.h"
 #include "store/block_format.h"
-#include "store/posterior_cache.h"
 #include "store/wal.h"
 
 namespace ltm {
@@ -115,6 +113,11 @@ class StorePin {
 /// PartitionedTruthStore router. Callers that need single-store-only
 /// surface (segment listings, the concrete EpochPin API) keep holding a
 /// TruthStore directly.
+///
+/// The store holds stored claims and nothing that depends on a fit:
+/// served posteriors depend on a session's installed source quality, so
+/// the posterior cache and the refit debounce live in src/serve (one per
+/// ServeSession), keyed and driven by the scalar epoch() below.
 ///
 /// Implementations are thread-safe with the same contract as TruthStore:
 /// appends, flushes, reads, and one background compaction per partition
@@ -221,31 +224,15 @@ class TruthStoreBase {
   }
 
   /// In-memory data version: advances on every append and every manifest
-  /// commit (summed over partitions, kept monotone across rebalances).
+  /// commit (summed over partitions, kept monotone across rebalances) —
+  /// the one scalar serving keys cached posteriors on and the
+  /// RefitScheduler debounces.
   virtual uint64_t epoch() const = 0;
 
   virtual TruthStoreStats Stats() const = 0;
 
   /// Number of entity-range partitions (1 for a plain TruthStore).
   virtual size_t num_partitions() const { return 1; }
-
-  /// Per-partition epochs, in partition (entity-range) order — the
-  /// vector the RefitScheduler debounces on. Size num_partitions().
-  virtual std::vector<uint64_t> PartitionEpochs() const { return {epoch()}; }
-
-  /// The posterior cache that serves `entity` — per-partition keying for
-  /// a partitioned store, so one hot partition cannot evict the whole
-  /// working set.
-  virtual PosteriorCache& posterior_cache_for(std::string_view entity) = 0;
-
-  /// Clears every partition's posterior cache (quality version bumps).
-  virtual void ClearPosteriorCaches() = 0;
-
-  /// Aggregated posterior-cache counters across partitions.
-  virtual CacheStats PosteriorCacheStats() const = 0;
-
-  /// Live pin handles outstanding (observability + tests).
-  virtual size_t num_pinned_epochs() const = 0;
 
   /// The registry this store publishes into. Never null.
   virtual obs::MetricsRegistry* metrics() const = 0;

@@ -215,7 +215,6 @@ TruthStore::TruthStore(std::string dir, TruthStoreOptions options)
           Labeled("ltm_store_memtable_rows", options.metrics_label))),
       live_pins_gauge_(metrics_->gauge(
           Labeled("ltm_store_live_pins", options.metrics_label))),
-      cache_(options.posterior_cache_capacity, metrics_),
       block_cache_(static_cast<uint64_t>(options.block_cache_mb) << 20,
                    /*num_shards=*/8, metrics_) {}
 

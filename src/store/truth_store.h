@@ -19,7 +19,6 @@
 #include "store/block_cache.h"
 #include "store/block_format.h"
 #include "store/manifest.h"
-#include "store/posterior_cache.h"
 #include "store/segment.h"
 #include "store/store_base.h"
 #include "store/wal.h"
@@ -32,8 +31,6 @@ struct TruthStoreOptions {
   /// Auto-flush the memtable into a segment once it holds this many rows
   /// (0 = flush only when Flush() is called).
   size_t memtable_flush_rows = 0;
-  /// Capacity of the served-posterior LRU cache (0 disables it).
-  size_t posterior_cache_capacity = 4096;
   /// fsync the WAL after every append. Off by default: appends are
   /// durable at the next Sync()/Flush() (group commit), and a crash loses
   /// at most the unsynced suffix.
@@ -60,7 +57,7 @@ struct TruthStoreOptions {
   /// so one registry exposes per-partition series side by side.
   std::string metrics_label;
 
-  /// Registry the store (and its caches / serving session) publishes
+  /// Registry the store (and its block cache / serving session) publishes
   /// `ltm_store_*` / `ltm_cache_*` / `ltm_serve_*` metrics into. Null
   /// (the default) gives the store a private registry — instances stay
   /// isolated, which is what tests want. Processes with one exposition
@@ -279,7 +276,7 @@ class TruthStore : public TruthStoreBase {
       const override;
 
   /// In-memory data version: advances on every append and every manifest
-  /// commit. Keys the posterior cache.
+  /// commit.
   uint64_t epoch() const override LTM_EXCLUDES(mu_);
 
   TruthStoreStats Stats() const override LTM_EXCLUDES(mu_);
@@ -289,17 +286,10 @@ class TruthStore : public TruthStoreBase {
   std::vector<SegmentInfo> segments() const LTM_EXCLUDES(mu_);
 
   /// Live EpochPin handles outstanding (observability + tests).
-  size_t num_pinned_epochs() const override LTM_EXCLUDES(mu_);
+  size_t num_pinned_epochs() const LTM_EXCLUDES(mu_);
   /// Superseded segments whose files are retained for live pins.
   size_t num_deferred_segments() const LTM_EXCLUDES(mu_);
 
-  PosteriorCache& posterior_cache() { return cache_; }
-  PosteriorCache& posterior_cache_for(std::string_view entity) override {
-    (void)entity;
-    return cache_;
-  }
-  void ClearPosteriorCaches() override { cache_.Clear(); }
-  CacheStats PosteriorCacheStats() const override { return cache_.Stats(); }
   /// The shared data-block cache (internally thread-safe).
   BlockCache& block_cache() const { return block_cache_; }
 
@@ -423,8 +413,8 @@ class TruthStore : public TruthStoreBase {
       readers_ LTM_GUARDED_BY(readers_mu_);
 
   /// Registry plumbing. owned_metrics_ backs metrics_ when no registry
-  /// was injected; both are declared before the caches so the registry
-  /// exists when their constructors register `ltm_cache_*` metrics.
+  /// was injected; both are declared before the block cache so the
+  /// registry exists when its constructor registers `ltm_cache_*` metrics.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;  // never null
 
@@ -453,7 +443,6 @@ class TruthStore : public TruthStoreBase {
   obs::Gauge* memtable_rows_gauge_;
   obs::Gauge* live_pins_gauge_;
 
-  PosteriorCache cache_;
   mutable BlockCache block_cache_;
 };
 

@@ -104,10 +104,10 @@ TEST_F(StreamingStoreTest, BootstrapObserveAndServeAgainstTheStore) {
   FactKey(chunk_a_, 0, &entity, &attribute);
   auto served = (*session)->Query({entity, attribute});
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  const uint64_t hits_before = (*store)->posterior_cache().hits();
+  const uint64_t hits_before = (*session)->Stats().cache.hits;
   auto repeat = (*session)->Query({entity, attribute});
   ASSERT_TRUE(repeat.ok());
-  EXPECT_GT((*store)->posterior_cache().hits(), hits_before);
+  EXPECT_GT((*session)->Stats().cache.hits, hits_before);
   EXPECT_DOUBLE_EQ(*served, *repeat);
 
   // The chunk's entities are new, so the full-evidence posterior agrees
@@ -137,10 +137,10 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   auto first = (*session)->Query({entity, attribute});
   ASSERT_TRUE(first.ok());
   // Second read at the same epoch: served from cache.
-  const uint64_t misses_before = (*store)->posterior_cache().misses();
+  const uint64_t misses_before = (*session)->Stats().cache.misses;
   auto second = (*session)->Query({entity, attribute});
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*store)->posterior_cache().misses(), misses_before);
+  EXPECT_EQ((*session)->Stats().cache.misses, misses_before);
   EXPECT_DOUBLE_EQ(*first, *second);
 
   // New evidence advances the store epoch; the stale entry must not be
@@ -148,7 +148,7 @@ TEST_F(StreamingStoreTest, QueryRecomputesAfterNewEvidence) {
   ASSERT_TRUE(pipeline.ObserveToStore(chunk_a_).ok());
   auto third = (*session)->Query({entity, attribute});
   ASSERT_TRUE(third.ok());
-  EXPECT_GT((*store)->posterior_cache().misses(), misses_before);
+  EXPECT_GT((*session)->Stats().cache.misses, misses_before);
 }
 
 TEST_F(StreamingStoreTest, QueryMatchesFullGraphClosedForm) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "ext/streaming.h"
 #include "serve/serve_options.h"
 #include "serve/serve_session.h"
@@ -61,11 +64,13 @@ class ServeSessionPartitionedTest : public ::testing::Test {
   }
 
   /// Opens a 3-way partitioned store at `name`, ingests raw_, and
-  /// bootstraps a pipeline + session over it.
-  void BootstrapPartitioned() {
+  /// bootstraps a pipeline + session over it. CompactOnce() splits a
+  /// partition past `split_threshold_rows` (0 never splits).
+  void BootstrapPartitioned(uint64_t split_threshold_rows = 0) {
     store::PartitionedStoreOptions opts;
     opts.partitions = 3;
     opts.initial_boundaries = {"g", "p"};
+    opts.split_threshold_rows = split_threshold_rows;
     auto store = store::PartitionedTruthStore::Open(root_ + "/parted", opts);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     store_ = std::move(*store);
@@ -174,6 +179,85 @@ TEST_F(ServeSessionPartitionedTest, SnapshotPinsAllPartitionsConsistently) {
   auto again = snapshot->QueryBatch(probes);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *baseline);
+}
+
+// The session owns one posterior cache however many partitions the
+// store has: one miss and one hit count once each, and the capacity —
+// in Stats() and in the exposition — is the session's full budget, also
+// after a split changes the layout.
+TEST_F(ServeSessionPartitionedTest, OneCacheCountsEachLookupOnce) {
+  BootstrapPartitioned(/*split_threshold_rows=*/10);
+  ASSERT_EQ(store_->num_partitions(), 3u);
+  const obs::MetricsRegistry* registry = store_->metrics();
+  const FactRef probe{"kiwi", "kiwi-color"};
+
+  ASSERT_TRUE(session_->Query(probe).ok());  // miss
+  ASSERT_TRUE(session_->Query(probe).ok());  // hit
+  CacheStats cache = session_->Stats().cache;
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.puts, 2u);  // the slice's two facts
+  EXPECT_EQ(cache.capacity, ServeSession::kPosteriorCacheCapacity);
+  EXPECT_EQ(cache.capacity, 4096u);
+  EXPECT_EQ(registry->CounterValue("ltm_cache_posterior_hits_total"), 1u);
+  EXPECT_EQ(registry->CounterValue("ltm_cache_posterior_misses_total"), 1u);
+  EXPECT_EQ(registry->GaugeValue("ltm_cache_posterior_capacity"), 4096);
+
+  // Every partition holds 12 rows, past the threshold: one split.
+  auto compacted = store_->CompactOnce();
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  ASSERT_EQ(store_->num_partitions(), 4u);
+  ASSERT_TRUE(session_->Query(probe).ok());  // the split advanced the epoch
+  ASSERT_TRUE(session_->Query(probe).ok());
+  cache = session_->Stats().cache;
+  EXPECT_EQ(cache.hits, 2u);
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.capacity, 4096u);
+  EXPECT_EQ(registry->GaugeValue("ltm_cache_posterior_capacity"), 4096);
+}
+
+// The refit debounce reads the composite epoch: a session over a store
+// whose epoch equals the last fit's refits nothing without appends, and
+// appends spread over every partition refit once their total passes the
+// debounce (no single partition gets near it).
+TEST_F(ServeSessionPartitionedTest, RefitDebouncesTheCompositeEpoch) {
+  BootstrapPartitioned();
+  ASSERT_EQ(store_->epoch(), pipeline_->last_fit_epoch());
+  ThreadPool pool(1);
+  ServeOptions options;
+  options.refit_debounce_epochs = 5;
+  auto refitting = ServeSession::Create(pipeline_.get(), options, &pool);
+  ASSERT_TRUE(refitting.ok()) << refitting.status().ToString();
+  ServeSession& session = **refitting;
+
+  ASSERT_TRUE(session.Query({"apple", "apple-color"}).ok());
+  ASSERT_TRUE(session.Query({"zucchini", "zucchini-size"}).ok());
+  ASSERT_TRUE(session.NotifyIngest().ok());
+  EXPECT_EQ(session.Stats().refit.scheduled, 0u);
+
+  const uint64_t fit_epoch = pipeline_->last_fit_epoch();
+  const char* entities[] = {"avocado", "lime", "tomato"};  // one per range
+  for (int i = 0; store_->epoch() < fit_epoch + 5; ++i) {
+    EXPECT_EQ(session.Stats().refit.scheduled, 0u)
+        << "epoch " << store_->epoch();
+    const std::string entity = entities[i % 3];
+    store::WalRecord record;
+    record.entity = entity;
+    record.attribute = entity + "-color";
+    record.source = "s" + std::to_string(i);
+    ASSERT_TRUE(store_->Append(record).ok());
+    ASSERT_TRUE(session.NotifyIngest().ok());
+  }
+  bool refitted = false;
+  for (int i = 0; i < 500 && !refitted; ++i) {
+    const RefitSchedulerStats refit = session.Stats().refit;
+    refitted = refit.completed >= 1 && !refit.in_flight;
+    if (!refitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(refitted);
+  EXPECT_EQ(session.Stats().refit.scheduled, 1u);
+  EXPECT_EQ(session.Stats().refit.completed, 1u);
+  EXPECT_GE(pipeline_->last_fit_epoch(), fit_epoch + 5);
 }
 
 // The partitions spec key drives the serving store's layout end to end.

@@ -1,4 +1,4 @@
-#include "store/posterior_cache.h"
+#include "serve/posterior_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,7 @@
 #include <vector>
 
 namespace ltm {
-namespace store {
+namespace serve {
 namespace {
 
 TEST(PosteriorCacheTest, HitAfterPut) {
@@ -206,5 +206,5 @@ TEST(PosteriorCacheTest, ConcurrentStatsStayConsistent) {
 }
 
 }  // namespace
-}  // namespace store
+}  // namespace serve
 }  // namespace ltm

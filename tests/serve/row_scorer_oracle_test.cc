@@ -194,18 +194,19 @@ TEST_P(RowScorerOracleTest, ServedPosteriorsMatchScoreSliceBitForBit) {
       if (want.size() > 1) ++multi_fact_entities;
 
       // Every served path, each from a cold posterior cache so the miss
-      // path does the scoring.
-      store_->ClearPosteriorCaches();
+      // path does the scoring: a refresh reinstalls the same quality
+      // under a new version key and clears the session's cache.
+      ASSERT_TRUE(session_->RefreshQuality().ok());
       auto range = session_->QueryEntityRange(entity, entity);
       ASSERT_TRUE(range.ok()) << range.status().ToString();
       ExpectSameFacts(*range, want, "QueryEntityRange(" + entity + ")");
       for (const ServedFact& fact : want) {
-        store_->ClearPosteriorCaches();
+        ASSERT_TRUE(session_->RefreshQuality().ok());
         auto point = session_->Query({fact.entity, fact.attribute});
         ASSERT_TRUE(point.ok()) << point.status().ToString();
         EXPECT_TRUE(SameBits(*point, fact.posterior))
             << "Query " << fact.entity << "/" << fact.attribute;
-        store_->ClearPosteriorCaches();
+        ASSERT_TRUE(session_->RefreshQuality().ok());
         auto snapshot = session_->AcquireSnapshot();
         auto pinned = snapshot->Query({fact.entity, fact.attribute});
         ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
@@ -213,14 +214,14 @@ TEST_P(RowScorerOracleTest, ServedPosteriorsMatchScoreSliceBitForBit) {
             << "ServeSnapshot::Query " << fact.entity << "/" << fact.attribute;
       }
       // A fact the entity lacks scores at the no-claim prior.
-      store_->ClearPosteriorCaches();
+      ASSERT_TRUE(session_->RefreshQuality().ok());
       auto absent = session_->Query({entity, "no-such-attribute"});
       ASSERT_TRUE(absent.ok());
       EXPECT_TRUE(SameBits(*absent, lookup_.no_claim_prior));
     }
     // One range over every entity: sources are interned across the whole
     // range, so this pins the cross-entity first-appearance order too.
-    store_->ClearPosteriorCaches();
+    ASSERT_TRUE(session_->RefreshQuality().ok());
     auto all = session_->QueryEntityRange("", "~");
     ASSERT_TRUE(all.ok()) << all.status().ToString();
     ExpectSameFacts(*all, Reference("", "~"), "QueryEntityRange(all)");

@@ -73,13 +73,15 @@ class ServeSessionTest : public ::testing::Test {
   }
 
   /// Closed-form Eq. 3 posterior for `ref`: LTMinc over the store's full
-  /// materialized graph under the pipeline's installed quality. A served
-  /// read rebuilds only the entity's slice, so it must agree with this
-  /// to FP noise.
-  double ClosedForm(const FactRef& ref) {
+  /// materialized graph under `pipeline`'s installed quality (pipeline_
+  /// when null). A served read rebuilds only the entity's slice, so it
+  /// must agree with this to FP noise.
+  double ClosedForm(const FactRef& ref,
+                    const ext::StreamingPipeline* pipeline = nullptr) {
+    if (pipeline == nullptr) pipeline = pipeline_.get();
     auto full = store_->Materialize();
     EXPECT_TRUE(full.ok());
-    LtmIncremental reference(pipeline_->quality(), pipeline_->options().ltm);
+    LtmIncremental reference(pipeline->quality(), pipeline->options().ltm);
     const TruthEstimate est = reference.Score(full->facts, full->graph);
     for (FactId f = 0; f < full->facts.NumFacts(); ++f) {
       const FactRef candidate = Ref(*full, f);
@@ -222,6 +224,43 @@ TEST_F(ServeSessionTest, RefreshQualityServesTheNewFit) {
   auto refreshed = (*session)->Query(probe);
   ASSERT_TRUE(refreshed.ok());
   EXPECT_NEAR(*refreshed, ClosedForm(probe), 1e-9);
+}
+
+// Each session owns its cache: two sessions over one store, fit under
+// different priors, serve their own posteriors for the same fact at the
+// same epoch, and one session's quality install leaves the other's
+// cached entries in place.
+TEST_F(ServeSessionTest, SessionsOnOneStoreKeepTheirOwnPosteriors) {
+  Bootstrap(Options());
+  ext::StreamingOptions skeptical = Options();
+  skeptical.ltm.beta = {1.0, 9.0};
+  ext::StreamingPipeline other(skeptical);
+  ASSERT_TRUE(other.BootstrapFromStore(store_.get()).ok());
+  auto a = ServeSession::Create(pipeline_.get(), ServeOptions());
+  auto b = ServeSession::Create(&other, ServeOptions());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  const FactRef probe = Ref(history_, 0);
+  auto from_a = (*a)->Query(probe);
+  auto from_b = (*b)->Query(probe);
+  ASSERT_TRUE(from_a.ok());
+  ASSERT_TRUE(from_b.ok());
+  EXPECT_NEAR(*from_a, ClosedForm(probe), 1e-9);
+  EXPECT_NEAR(*from_b, ClosedForm(probe, &other), 1e-9);
+  EXPECT_NE(*from_a, *from_b);
+
+  // B reinstalls its quality; A's entry survives, so A's repeat is a hit
+  // (the counters are registry-wide, so compare deltas).
+  const CacheStats before = (*a)->Stats().cache;
+  ASSERT_TRUE((*b)->RefreshQuality().ok());
+  EXPECT_EQ((*a)->Stats().cache.size, before.size);
+  auto again = (*a)->Query(probe);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *from_a);
+  const CacheStats after = (*a)->Stats().cache;
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST_F(ServeSessionTest, BackgroundSchedulerRefitsAfterForeignIngest) {
@@ -531,48 +570,6 @@ TEST_F(RefitSchedulerTest, FailedFitKeepsTriggerArmed) {
   stats = scheduler.Stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.last_fit_epoch, 40u);
-}
-
-// Partitioned stores report one epoch per partition; the debounce is
-// per slot, and a layout change (split/merge resized the vector) always
-// fires regardless of the epoch values.
-TEST_F(RefitSchedulerTest, PartitionEpochVectorDebounce) {
-  ThreadPool pool(1);
-  std::atomic<int> fits{0};
-  RefitSchedulerOptions options;
-  options.debounce_epochs = 10;
-  RefitScheduler scheduler(
-      &pool,
-      [&](const RunContext&) -> Result<uint64_t> {
-        fits.fetch_add(1, std::memory_order_relaxed);
-        return 100;
-      },
-      options, /*initial_fit_epoch=*/0);
-
-  // The scalar seed is a width-1 baseline; a 3-partition vector is a
-  // layout change, so the first notify fires and re-baselines per slot.
-  ASSERT_TRUE(scheduler.NotifyPartitionEpochs({3, 4, 5}).ok());
-  scheduler.Drain();
-  EXPECT_EQ(fits.load(), 1);
-  EXPECT_EQ(scheduler.Stats().last_fit_epoch, 100u);
-
-  // Every slot below its own baseline + debounce: no trigger.
-  ASSERT_TRUE(scheduler.NotifyPartitionEpochs({12, 13, 14}).ok());
-  scheduler.Drain();
-  EXPECT_EQ(fits.load(), 1);
-
-  // One hot partition crossing its own threshold fires even though the
-  // other partitions are idle.
-  ASSERT_TRUE(scheduler.NotifyPartitionEpochs({3, 14, 5}).ok());
-  scheduler.Drain();
-  EXPECT_EQ(fits.load(), 2);
-
-  // A merge shrank the layout to two partitions: fires on width change
-  // even though every epoch is behind the baseline.
-  ASSERT_TRUE(scheduler.NotifyPartitionEpochs({0, 0}).ok());
-  scheduler.Drain();
-  EXPECT_EQ(fits.load(), 3);
-  EXPECT_FALSE(scheduler.Stats().in_flight);
 }
 
 }  // namespace

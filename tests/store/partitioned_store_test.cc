@@ -109,7 +109,6 @@ TEST_F(PartitionedTruthStoreTest, OpenCarvesFreshDirectoryAndReopensIt) {
   auto ds = (*st)->Materialize();
   ASSERT_TRUE(ds.ok());
   ExpectSameClaimData(Dataset::FromRaw("batch", testing::RandomRaw(3)), *ds);
-  EXPECT_EQ((*st)->PartitionEpochs().size(), 4u);
 
   // Every child publishes under its own partition label.
   EXPECT_NE((*st)->metrics()->RenderText().find("partition=\""),
