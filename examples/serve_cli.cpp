@@ -7,7 +7,7 @@
 //   serve_cli <dir> --query ENTITY ATTRIBUTE
 //   serve_cli <dir> --queries queries.tsv        # entity<TAB>attribute rows
 //   serve_cli <dir> --range MIN MAX              # inclusive entity range
-//   serve_cli <dir> --spec "serve(batch_window_us=200,max_inflight=8)" ...
+//   serve_cli <dir> --spec "serve(max_inflight=8,refit_queue=2)" ...
 //   serve_cli <dir> --stats                      # session counters to stderr
 //   serve_cli <dir> stats                        # metrics exposition to stdout
 //   serve_cli <dir> --dump-metrics ...           # same, after the reads
@@ -42,9 +42,8 @@ int Usage() {
       "                 [--query ENTITY ATTRIBUTE]... [--queries FILE]\n"
       "                 [--range MIN MAX] [--stats] [--dump-metrics]\n"
       "                 [--trace-out FILE]\n"
-      "spec keys: batch_window_us, max_inflight, refit_debounce_epochs,\n"
-      "           refit_queue, block_cache_mb, bloom_bits_per_key,\n"
-      "           partitions\n");
+      "spec keys: max_inflight, refit_debounce_epochs, refit_queue,\n"
+      "           block_cache_mb, bloom_bits_per_key, partitions\n");
   return 2;
 }
 

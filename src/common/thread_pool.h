@@ -46,8 +46,8 @@ class ThreadPool {
   /// wraps user callbacks; raw Submit callers own their error handling).
   void Submit(std::function<void()> task) LTM_EXCLUDES(mutex_);
 
-  /// Enqueues a background job whose outcome the caller wants to observe —
-  /// the TruthStore's background compaction is the canonical user. The
+  /// Enqueues a background job whose outcome the caller wants to observe,
+  /// such as a TruthStore::Compact() run off the caller's thread. The
   /// returned future yields the job's Status; an exception escaping `job`
   /// is captured as an Internal status instead of terminating the worker.
   /// The future is shared so several observers may wait on one job. On a

@@ -30,9 +30,7 @@ Status ServeOptions::Validate() const {
 }
 
 std::string ServeOptions::ToSpecString() const {
-  std::string out = "serve(batch_window_us=";
-  out += std::to_string(batch_window_us);
-  out += ",max_inflight=" + std::to_string(max_inflight);
+  std::string out = "serve(max_inflight=" + std::to_string(max_inflight);
   out += ",refit_debounce_epochs=" + std::to_string(refit_debounce_epochs);
   out += ",refit_queue=" + std::to_string(refit_queue);
   out += ",block_cache_mb=" + std::to_string(block_cache_mb);
@@ -52,8 +50,6 @@ store::TruthStoreOptions ServeOptions::ApplyToStore(
 Result<ServeOptions> ServeOptionsFromSpec(const MethodOptions& opts,
                                           ServeOptions base) {
   ServeOptions out = base;
-  LTM_ASSIGN_OR_RETURN(out.batch_window_us,
-                       opts.GetUint64("batch_window_us", base.batch_window_us));
   LTM_ASSIGN_OR_RETURN(
       const uint64_t max_inflight,
       opts.GetUint64("max_inflight", static_cast<uint64_t>(base.max_inflight)));

@@ -17,15 +17,9 @@ namespace serve {
 
 /// Knobs for a ServeSession, settable from a spec string via the same
 /// MethodSpec machinery as method options: `serve` or
-/// `serve(batch_window_us=200, max_inflight=8, refit_debounce_epochs=4,
-/// refit_queue=2, block_cache_mb=8, bloom_bits_per_key=10,
-/// partitions=4)`.
+/// `serve(max_inflight=8, refit_debounce_epochs=4, refit_queue=2,
+/// block_cache_mb=8, bloom_bits_per_key=10, partitions=4)`.
 struct ServeOptions {
-  /// How long a cache-missing query leader waits (microseconds) before
-  /// materializing its entity slice, so concurrent lookups for the same
-  /// entity pile onto one computation. 0 = compute immediately.
-  uint64_t batch_window_us = 0;
-
   /// Admission control: the maximum number of distinct entity-slice
   /// computations in flight at once. A query that would start one beyond
   /// this is shed with ResourceExhausted (joining an existing computation
@@ -63,7 +57,7 @@ struct ServeOptions {
   /// InvalidArgument when a field is out of range.
   Status Validate() const;
 
-  /// Canonical round-trippable spec: "serve(batch_window_us=...,...)".
+  /// Canonical round-trippable spec: "serve(max_inflight=...,...)".
   std::string ToSpecString() const;
 
   /// Copies the store-facing knobs (block_cache_mb, bloom_bits_per_key)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/timer.h"
@@ -170,12 +169,6 @@ Result<double> ServeSession::QueryInner(const FactRef& fact,
   }
 
   if (leader) {
-    if (options_.batch_window_us > 0) {
-      // Pile-on window: near-simultaneous lookups for this entity join
-      // the map entry while we linger, then share the one computation.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.batch_window_us));
-    }
     Result<SliceScore> computed =
         ComputeEntitySlice(fact.entity, *quality, obs.NestedContext());
     {

@@ -40,7 +40,16 @@ struct ServedFact {
   double posterior = 0.0;
 };
 
-/// One-call snapshot of a session's counters.
+/// One-call snapshot of the serving counters a session can see. Only
+/// `cache.size`, `cache.capacity`, `quality_version`,
+/// `refit.last_fit_epoch` and `refit.in_flight` are this session's own.
+/// Every session on a store registers the same unlabeled `ltm_serve_*`
+/// and `ltm_cache_posterior_*` names in the store's registry, so every
+/// other counter here, and `latency`, is a total over all sessions
+/// sharing that registry; the exported gauges `ltm_cache_posterior_size`
+/// and `ltm_serve_quality_version` hold the last writer's value.
+/// `block_cache`, `bloom_point_skips`, `epoch` and `live_pins` describe
+/// the store.
 struct ServeStats {
   uint64_t queries = 0;         ///< Point queries (incl. batch items).
   uint64_t snapshot_queries = 0;///< Queries served through ServeSnapshot.
@@ -48,8 +57,8 @@ struct ServeStats {
   uint64_t coalesced = 0;       ///< Queries that joined another's slice compute.
   uint64_t shed = 0;            ///< Queries rejected by admission control.
   uint64_t slice_computes = 0;  ///< Entity-slice materialize+score passes led.
-  /// The session's posterior cache (see PosteriorCache; counters are
-  /// totals across the sessions sharing the store's registry).
+  /// The posterior cache: size and capacity are this session's, the
+  /// counters are registry totals (see above).
   CacheStats cache;
   /// The served store's data-block cache (hits/misses/evictions/bytes).
   store::BlockCacheStats block_cache;
@@ -90,9 +99,8 @@ class ServeSnapshot;
 ///     store's registry.
 ///   - Duplicate-query coalescing: concurrent cache-missing lookups for
 ///     the same (entity, quality version) share one slice
-///     materialization and one cache fill (singleflight); a leader may
-///     linger ServeOptions::batch_window_us before computing so
-///     near-simultaneous lookups pile on.
+///     materialization and one cache fill (singleflight). The leader
+///     computes at once; lookups that arrive while it runs join it.
 ///   - Admission control: at most ServeOptions::max_inflight distinct
 ///     slice computations run at once; a query that would start one more
 ///     is shed with ResourceExhausted (cache hits and coalesced joins

@@ -579,7 +579,7 @@ void PartitionedTruthStore::ReapRetired() const {
   }
   for (std::shared_ptr<TruthStore>& child : doomed) {
     const std::string child_dir = child->dir();
-    child.reset();  // joins the child's background compactions
+    child.reset();  // closes the child's WAL and readers
     std::error_code ec;
     fs::remove_all(child_dir, ec);  // best-effort; Open() reaps leftovers
     LTM_LOG(Info) << "partitioned store: reclaimed retired partition dir "

@@ -1,7 +1,6 @@
 #include "store/truth_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +23,9 @@ namespace fs = std::filesystem;
 
 /// Compaction splits its output at entity boundaries near this size.
 constexpr uint64_t kSegmentTargetBytes = 4ull << 20;
+/// CompactOnce() merges all of L0 into L1 once this many L0 segments
+/// exist.
+constexpr size_t kL0CompactionTrigger = 4;
 /// The manifest edit log folds into a fresh snapshot every this many
 /// edits.
 constexpr size_t kManifestSnapshotEvery = 32;
@@ -228,8 +230,6 @@ std::string TruthStore::WalPath(const std::string& file) const {
 
 BlockSegmentWriterOptions TruthStore::WriterOptions() const {
   BlockSegmentWriterOptions w;
-  w.block_size_bytes = options_.block_size_bytes;
-  w.restart_interval = options_.restart_interval;
   w.bloom_bits_per_key = options_.bloom_bits_per_key;
   return w;
 }
@@ -384,10 +384,6 @@ Status TruthStore::AppendLocked(const WalRecord& record) {
   ++epoch_;
   epoch_gauge_->Set(static_cast<int64_t>(epoch_));
   memtable_rows_gauge_->Set(static_cast<int64_t>(memtable_.NumRows()));
-  if (options_.memtable_flush_rows > 0 &&
-      memtable_.NumRows() >= options_.memtable_flush_rows) {
-    return FlushLocked();
-  }
   return Status::OK();
 }
 
@@ -417,11 +413,6 @@ Status TruthStore::Sync() {
   wal_syncs_->Increment();
   wal_sync_micros_->Record(ElapsedMicros(timer));
   return Status::OK();
-}
-
-Status TruthStore::Flush() {
-  MutexLock lock(mu_);
-  return FlushLocked();
 }
 
 Result<bool> TruthStore::CommitVersionLocked(const Manifest& next,
@@ -455,7 +446,8 @@ Result<bool> TruthStore::CommitVersionLocked(const Manifest& next,
   return adopted;
 }
 
-Status TruthStore::FlushLocked() {
+Status TruthStore::Flush() {
+  MutexLock lock(mu_);
   if (memtable_.NumRows() == 0) return Status::OK();
   obs::ObsSpan span("memtable_flush");
   WallTimer flush_timer;
@@ -555,7 +547,7 @@ Result<bool> TruthStore::CompactOnce() {
     if (compacting_) {
       return Status::FailedPrecondition("a compaction is already running");
     }
-    if (manifest_.NumSegmentsAtLevel(0) >= options_.l0_compaction_trigger) {
+    if (manifest_.NumSegmentsAtLevel(0) >= kL0CompactionTrigger) {
       // L0 segments may overlap each other, so all of them merge together
       // with every L1 segment their combined range touches.
       std::string min_e, max_e;
@@ -799,33 +791,6 @@ Status TruthStore::CompactSegmentsInner(const std::vector<SegmentInfo>& inputs,
                 << output_level << " (" << dropped << " duplicate row(s) "
                 << "dropped)";
   return Status::OK();
-}
-
-std::shared_future<Status> TruthStore::CompactAsync(ThreadPool& pool) {
-  std::shared_future<Status> job =
-      pool.SubmitWithStatus([this] { return Compact(); });
-  MutexLock lock(mu_);
-  // Track every outstanding job (not just the latest — a fast-failing
-  // duplicate must not drop the handle to a still-running merge), pruning
-  // the ones that already resolved.
-  std::erase_if(pending_compactions_, [](const std::shared_future<Status>& f) {
-    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  });
-  pending_compactions_.push_back(job);
-  return job;
-}
-
-TruthStore::~TruthStore() {
-  // Join all background compactions: their jobs captured `this` raw, so
-  // the store must stay alive until the pool has run (or drained) them.
-  std::vector<std::shared_future<Status>> pending;
-  {
-    MutexLock lock(mu_);
-    pending.swap(pending_compactions_);
-  }
-  for (const std::shared_future<Status>& job : pending) {
-    if (job.valid()) job.wait();
-  }
 }
 
 EpochPin::EpochPin(const TruthStore* store, uint64_t epoch,

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,7 +12,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
@@ -28,26 +26,18 @@ namespace store {
 
 /// Knobs for a TruthStore instance.
 struct TruthStoreOptions {
-  /// Auto-flush the memtable into a segment once it holds this many rows
-  /// (0 = flush only when Flush() is called).
-  size_t memtable_flush_rows = 0;
   /// fsync the WAL after every append. Off by default: appends are
   /// durable at the next Sync()/Flush() (group commit), and a crash loses
   /// at most the unsynced suffix.
   bool sync_every_append = false;
 
-  // Block-segment layout (see segment.h).
-  size_t block_size_bytes = 4096;
-  size_t restart_interval = 16;
   /// Bloom filter bits per key in each segment (0 disables blooms).
   uint32_t bloom_bits_per_key = 10;
   /// Sharded block cache budget in MiB (0 disables the cache).
   size_t block_cache_mb = 8;
 
-  // Leveled compaction shape.
-  /// CompactOnce() merges L0 into L1 once this many L0 segments exist.
-  size_t l0_compaction_trigger = 4;
-  /// Byte budget of L1; each deeper level gets 10x the previous.
+  /// Leveled compaction: byte budget of L1; each deeper level gets 10x
+  /// the previous.
   uint64_t level_base_bytes = 4ull << 20;
 
   /// Label text merged into every `ltm_store_*` metric name this store
@@ -180,9 +170,6 @@ class TruthStore : public TruthStoreBase {
   static Result<std::unique_ptr<TruthStore>> Open(
       const std::string& dir, TruthStoreOptions options = TruthStoreOptions());
 
-  /// Joins any in-flight background compaction before tearing down.
-  ~TruthStore() override;
-
   /// Owns a directory, a WAL appender, and a mutex — copying or moving a
   /// live store could never be correct, so both are compile errors.
   TruthStore(TruthStore&&) = delete;
@@ -190,9 +177,9 @@ class TruthStore : public TruthStoreBase {
 
   /// Appends one observation: WAL first, then the memtable. Records with
   /// observation != 1 are rejected (explicit negative claims are reserved
-  /// in the record format but not yet served). May trigger an auto-flush
-  /// per `memtable_flush_rows`. The record's `seq` is ignored: the store
-  /// stamps the next value of its own counter.
+  /// in the record format but not yet served). Never flushes: callers
+  /// decide when the memtable becomes a segment. The record's `seq` is
+  /// ignored: the store stamps the next value of its own counter.
   Status Append(const WalRecord& record) override LTM_EXCLUDES(mu_);
 
   /// Appends every row of `raw` (in row order, each stamped from the
@@ -213,24 +200,18 @@ class TruthStore : public TruthStoreBase {
   /// first-ingested occurrence), splitting outputs at entity boundaries
   /// near 4 MiB (kSegmentTargetBytes). No-op with fewer than two segments.
   /// Appends may proceed concurrently; segments flushed while the merge
-  /// runs survive unmerged. At most one compaction (sync or async) at a
-  /// time — a second concurrent call fails with FailedPrecondition.
+  /// runs survive unmerged, so a caller may run it on a background pool.
+  /// At most one compaction at a time — a second concurrent call fails
+  /// with FailedPrecondition.
   Status Compact() override LTM_EXCLUDES(mu_);
 
   /// One leveled compaction step, or nothing: merges all of L0 into L1
-  /// once `l0_compaction_trigger` L0 segments exist, else spills one
+  /// once four L0 segments exist (kL0CompactionTrigger), else spills one
   /// segment from the shallowest over-budget level into the next (a
   /// segment with no next-level overlap is relinked without rewriting).
   /// Returns false when no level needed work. Same single-compaction
   /// exclusivity as Compact().
   Result<bool> CompactOnce() override LTM_EXCLUDES(mu_);
-
-  /// Runs Compact() as a background job on `pool`; the future resolves
-  /// to FailedPrecondition when a compaction is already in flight. The
-  /// store's destructor joins the job, so destroying the store without
-  /// waiting on the future is safe (the pool must outlive the store).
-  std::shared_future<Status> CompactAsync(ThreadPool& pool)
-      LTM_EXCLUDES(mu_);
 
   /// Acquires an MVCC read snapshot at the current epoch: copies the
   /// committed segment list (bumping each segment's pin refcount so
@@ -341,7 +322,6 @@ class TruthStore : public TruthStoreBase {
   /// deletes any deferred segment file whose last reference this was.
   void ReleasePin(const EpochPin& pin) const LTM_EXCLUDES(mu_);
 
-  Status FlushLocked() LTM_REQUIRES(mu_);
   /// Appends `record` as stamped (its seq included) to the WAL and the
   /// memtable, advancing next_seq_ past it.
   Status AppendLocked(const WalRecord& record) LTM_REQUIRES(mu_);
@@ -393,10 +373,6 @@ class TruthStore : public TruthStoreBase {
   bool recovered_torn_tail_ LTM_GUARDED_BY(mu_) = false;
   bool compacting_ LTM_GUARDED_BY(mu_) = false;
   size_t edits_since_snapshot_ LTM_GUARDED_BY(mu_) = 0;
-  /// Outstanding CompactAsync jobs (each captures `this`); pruned as they
-  /// resolve and joined by the destructor.
-  std::vector<std::shared_future<Status>> pending_compactions_
-      LTM_GUARDED_BY(mu_);
 
   /// MVCC pin state (mutable: pinning is a const read-side operation).
   /// pin_refs_ maps segment id -> number of live pins referencing it;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "truth/ltm_parallel.h"
@@ -168,17 +167,10 @@ Result<TruthResult> LatentTruthModel::Run(const RunContext& ctx,
   }
 
   // The single-shard default keeps the original sequential chain;
-  // anything else dispatches to the sharded sampler. The chain shape is
-  // fixed by the resolved shard count — an explicit `shards` pins it
-  // regardless of `threads`, otherwise it follows threads (0 = one
-  // shard per hardware thread). Quality is always read off the full
+  // anything else dispatches to the sharded sampler, whose chain shape
+  // the resolved shard count fixes. Quality is always read off the full
   // graph.
-  const int shards =
-      opts.shards > 0
-          ? opts.shards
-          : (opts.threads <= 0 ? ThreadPool::HardwareConcurrency()
-                               : opts.threads);
-  if (shards > 1) {
+  if (ResolveShards(opts) > 1) {
     return RunShardedLtm(ctx, name(), graph, *active, opts);
   }
 

@@ -10,18 +10,10 @@
 
 namespace ltm {
 
-namespace {
-
-/// An explicit `shards` pins the chain shape regardless of worker
-/// count; otherwise the shard count follows `threads` (the historical
-/// coupling, 0 = hardware concurrency).
 int ResolveShards(const LtmOptions& options) {
-  if (options.shards > 0) return options.shards;
   return options.threads <= 0 ? ThreadPool::HardwareConcurrency()
                               : options.threads;
 }
-
-}  // namespace
 
 ParallelLtmGibbs::ParallelLtmGibbs(const ClaimGraph& graph,
                                    const LtmOptions& options, ThreadPool* pool)

@@ -158,6 +158,12 @@ class ParallelLtmGibbs {
   std::array<double, 2> log_beta_;  // log(beta.neg), log(beta.pos)
 };
 
+/// The Gibbs shard count `options` asks for: `threads`, with 0 resolving
+/// to ThreadPool::HardwareConcurrency(). The one resolution both
+/// LatentTruthModel::Run (sequential when 1, sharded above) and
+/// ParallelLtmGibbs use.
+int ResolveShards(const LtmOptions& options);
+
 /// Runs the sharded sampler under the engine protocol, mirroring
 /// LatentTruthModel::Run's sequential loop (observer checks, trace,
 /// on_state, progress, §5.3 quality read-off from `quality_graph`).

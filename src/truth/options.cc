@@ -75,11 +75,6 @@ Status LtmOptions::Validate() const {
         "threads must be in [0, 1024] (0 = auto), got " +
         std::to_string(threads));
   }
-  if (shards < 0 || shards > 1024) {
-    return Status::InvalidArgument(
-        "shards must be in [0, 1024] (0 = follow threads), got " +
-        std::to_string(shards));
-  }
   if (!std::isfinite(truth_threshold) || truth_threshold < 0.0 ||
       truth_threshold > 1.0) {
     return Status::InvalidArgument("truth_threshold must be in [0, 1], got " +
@@ -100,8 +95,6 @@ Result<LtmOptions> LtmOptionsFromSpec(const MethodOptions& spec_options,
   LTM_ASSIGN_OR_RETURN(base.seed, spec_options.GetUint64("seed", base.seed));
   LTM_ASSIGN_OR_RETURN(base.threads,
                        spec_options.GetInt("threads", base.threads));
-  LTM_ASSIGN_OR_RETURN(base.shards,
-                       spec_options.GetInt("shards", base.shards));
   LTM_ASSIGN_OR_RETURN(
       const std::string kernel_name,
       spec_options.GetString("kernel", LtmKernelName(base.kernel)));

@@ -84,17 +84,9 @@ struct LtmOptions {
   /// barriers — deterministic for a fixed (seed, threads) pair, but a
   /// different chain than threads=1. 0 means auto (one shard per
   /// hardware thread; reproducible only on machines with equal core
-  /// counts).
+  /// counts). It sets only the shard count, not the number of worker
+  /// threads: the shards run on ThreadPool::Shared(), whatever its size.
   int threads = 1;
-
-  /// Gibbs shard count, spec key `shards`, decoupled from `threads`:
-  /// shards fixes the chain (shard boundaries + per-shard RNG streams)
-  /// while threads only sets how many pool workers execute the shard
-  /// sweeps. 0 (default) follows `threads` — the historical coupling,
-  /// where every thread count was its own chain. A store partitioned N
-  /// ways can pin shards=N so refit chains stay reproducible no matter
-  /// what hardware runs them.
-  int shards = 0;
 
   /// Gibbs update kernel, spec key `kernel` (`auto|reference|fused`).
   /// kAuto keeps the sequential chain on the bit-pinned reference kernel
@@ -137,7 +129,7 @@ struct LtmOptions {
 
 /// Applies spec-string options (truth/method_spec.h) on top of `base` and
 /// validates the result. Accepted keys: iterations, burnin,
-/// sample_gap|gap, seed, threads, shards, kernel,
+/// sample_gap|gap, seed, threads, kernel,
 /// threshold|truth_threshold, positive_only, and the
 /// six prior pseudo-counts alpha0_pos, alpha0_neg, alpha1_pos, alpha1_neg,
 /// beta_pos, beta_neg. Used by every LTM-family registry factory.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "serve/serve_options.h"
 #include "store/truth_store.h"
 
@@ -10,7 +12,6 @@ namespace {
 TEST(ServeOptionsTest, DefaultsValidate) {
   ServeOptions options;
   EXPECT_TRUE(options.Validate().ok());
-  EXPECT_EQ(options.batch_window_us, 0u);
   EXPECT_EQ(options.max_inflight, 64u);
   EXPECT_EQ(options.refit_debounce_epochs, 0u);
   EXPECT_EQ(options.refit_queue, 1u);
@@ -31,27 +32,24 @@ TEST(ServeOptionsTest, ValidateRejectsOutOfRange) {
 TEST(ServeOptionsTest, ParseBareNameYieldsDefaults) {
   auto parsed = ParseServeSpec("serve");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->batch_window_us, ServeOptions().batch_window_us);
   EXPECT_EQ(parsed->max_inflight, ServeOptions().max_inflight);
 }
 
 TEST(ServeOptionsTest, ParseSetsEveryKey) {
   auto parsed = ParseServeSpec(
-      "serve(batch_window_us=200, max_inflight=8, "
-      "refit_debounce_epochs=4, refit_queue=2, "
-      "block_cache_mb=32, bloom_bits_per_key=12)");
+      "serve(max_inflight=8, refit_debounce_epochs=4, refit_queue=2, "
+      "block_cache_mb=32, bloom_bits_per_key=12, partitions=3)");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->batch_window_us, 200u);
   EXPECT_EQ(parsed->max_inflight, 8u);
   EXPECT_EQ(parsed->refit_debounce_epochs, 4u);
   EXPECT_EQ(parsed->refit_queue, 2u);
   EXPECT_EQ(parsed->block_cache_mb, 32u);
   EXPECT_EQ(parsed->bloom_bits_per_key, 12u);
+  EXPECT_EQ(parsed->partitions, 3u);
 }
 
 TEST(ServeOptionsTest, SpecStringRoundTrips) {
   ServeOptions options;
-  options.batch_window_us = 350;
   options.max_inflight = 12;
   options.refit_debounce_epochs = 9;
   options.refit_queue = 3;
@@ -59,7 +57,6 @@ TEST(ServeOptionsTest, SpecStringRoundTrips) {
   options.bloom_bits_per_key = 14;
   auto parsed = ParseServeSpec(options.ToSpecString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->batch_window_us, options.batch_window_us);
   EXPECT_EQ(parsed->max_inflight, options.max_inflight);
   EXPECT_EQ(parsed->refit_debounce_epochs, options.refit_debounce_epochs);
   EXPECT_EQ(parsed->refit_queue, options.refit_queue);
@@ -70,8 +67,14 @@ TEST(ServeOptionsTest, SpecStringRoundTrips) {
 }
 
 TEST(ServeOptionsTest, ParseRejectsUnknownKeys) {
-  auto parsed = ParseServeSpec("serve(batch_window_us=1, no_such_key=2)");
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  // Removed keys fail loudly too, naming the key, so a stale spec
+  // cannot silently lose a setting.
+  for (const std::string key : {"no_such_key", "batch_window_us"}) {
+    auto parsed = ParseServeSpec("serve(" + key + "=1, max_inflight=2)");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(parsed.status().message().find(key), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(ServeOptionsTest, ParseRejectsWrongName) {
@@ -83,7 +86,7 @@ TEST(ServeOptionsTest, ParseRejectsInvalidValues) {
   // Parsed fine, but fails validation.
   EXPECT_FALSE(ParseServeSpec("serve(max_inflight=0)").ok());
   // Not an integer at all.
-  EXPECT_FALSE(ParseServeSpec("serve(batch_window_us=soon)").ok());
+  EXPECT_FALSE(ParseServeSpec("serve(max_inflight=soon)").ok());
   // Past 64 bits/key the filter would be all ones — rejected before the
   // value can truncate into the uint32 field.
   EXPECT_FALSE(ParseServeSpec("serve(bloom_bits_per_key=65)").ok());
@@ -98,11 +101,11 @@ TEST(ServeOptionsTest, ApplyToStoreCarriesTheReadSideBudget) {
   options.block_cache_mb = 24;
   options.bloom_bits_per_key = 6;
   store::TruthStoreOptions base;
-  base.memtable_flush_rows = 99;  // unrelated knobs must pass through
+  base.sync_every_append = true;  // unrelated knobs must pass through
   store::TruthStoreOptions applied = options.ApplyToStore(base);
   EXPECT_EQ(applied.block_cache_mb, 24u);
   EXPECT_EQ(applied.bloom_bits_per_key, 6u);
-  EXPECT_EQ(applied.memtable_flush_rows, 99u);
+  EXPECT_TRUE(applied.sync_every_append);
 }
 
 TEST(ServeOptionsTest, CaseInsensitiveName) {

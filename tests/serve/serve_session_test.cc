@@ -7,10 +7,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "ext/streaming.h"
 #include "serve/refit_scheduler.h"
@@ -298,13 +300,51 @@ TEST_F(ServeSessionTest, BackgroundSchedulerRefitsAfterForeignIngest) {
 
 class ServeSessionConcurrencyTest : public ServeSessionTest {};
 
+/// Parks every store segment read at the `store-pinned-read` failpoint
+/// until Release(), so a cache-missing query leader observably holds its
+/// inflight slot. The handler runs under the failpoint's global mutex, so
+/// only one reader can wait in it; the tests below hold exactly one
+/// leader, and every other query they issue never reaches a store read.
+class PinnedReadHold {
+ public:
+  PinnedReadHold()
+      : failpoint_([this](std::string_view at) {
+          if (at == "store-pinned-read") {
+            std::unique_lock<std::mutex> lock(mu_);
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return released_; });
+          }
+          return Status::OK();
+        }) {}
+  ~PinnedReadHold() { Release(); }
+
+  /// Blocks until a reader is parked at the failpoint.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+
+  void Release() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+  ScopedFailpoint failpoint_;  // last: uninstalled before mu_/cv_ go
+};
+
 // Concurrent identical queries share one slice computation: the leader
-// lingers batch_window_us, everyone else coalesces onto its result.
+// is held at its segment read while everyone else joins its inflight
+// entry, then all of them get the leader's result.
 TEST_F(ServeSessionConcurrencyTest, DuplicateQueriesCoalesce) {
-  Bootstrap(Options());
-  ServeOptions serve_opts;
-  serve_opts.batch_window_us = 30000;
-  auto session = ServeSession::Create(pipeline_.get(), serve_opts);
+  Bootstrap(Options());  // flushes, so the leader's read reaches a segment
+  auto session = ServeSession::Create(pipeline_.get(), ServeOptions());
   ASSERT_TRUE(session.ok());
 
   const FactRef probe = Ref(history_, 0);
@@ -312,30 +352,41 @@ TEST_F(ServeSessionConcurrencyTest, DuplicateQueriesCoalesce) {
   std::vector<double> values(kClients, -1.0);
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      auto served = (*session)->Query(probe);
-      if (served.ok()) {
-        values[c] = *served;
-      } else {
-        failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+  const auto client = [&](int c) {
+    auto served = (*session)->Query(probe);
+    if (served.ok()) {
+      values[c] = *served;
+    } else {
+      failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  {
+    PinnedReadHold hold;
+    clients.emplace_back(client, 0);
+    hold.WaitUntilHeld();
+    for (int c = 1; c < kClients; ++c) clients.emplace_back(client, c);
+    // Every client has entered Query; give the joiners time to reach the
+    // leader's inflight entry before the leader may finish.
+    while ((*session)->Stats().queries < static_cast<uint64_t>(kClients)) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    hold.Release();
+    for (std::thread& t : clients) t.join();
   }
-  for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(values[c], values[0]);
   // One materialization served all four clients.
   const ServeStats stats = (*session)->Stats();
   EXPECT_EQ(stats.slice_computes, 1u);
+  EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kClients - 1));
   EXPECT_EQ(stats.queries, static_cast<uint64_t>(kClients));
 }
 
 TEST_F(ServeSessionConcurrencyTest, AdmissionControlShedsBeyondMaxInflight) {
   Bootstrap(Options());
-  // Spec-driven construction: one slice computation at a time, with a
-  // long pile-on window so the inflight slot is observably occupied.
-  auto serve_opts = ParseServeSpec("serve(batch_window_us=150000,max_inflight=1)");
+  // Spec-driven construction: one slice computation at a time.
+  auto serve_opts = ParseServeSpec("serve(max_inflight=1)");
   ASSERT_TRUE(serve_opts.ok());
   auto session = ServeSession::Create(pipeline_.get(), *serve_opts);
   ASSERT_TRUE(session.ok());
@@ -348,14 +399,18 @@ TEST_F(ServeSessionConcurrencyTest, AdmissionControlShedsBeyondMaxInflight) {
   }
   ASSERT_NE(other.entity, held.entity);
 
-  std::thread leader([&] { ASSERT_TRUE((*session)->Query(held).ok()); });
-  // Give the leader time to claim the one inflight slot, then a query
-  // for a different entity must be shed, not queued.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  auto shed = (*session)->Query(other);
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ((*session)->Stats().shed, 1u);
-  leader.join();
+  {
+    PinnedReadHold hold;
+    std::thread leader([&] { EXPECT_TRUE((*session)->Query(held).ok()); });
+    // The leader holds the one inflight slot at its segment read, so a
+    // query for a different entity must be shed, not queued.
+    hold.WaitUntilHeld();
+    auto shed = (*session)->Query(other);
+    EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ((*session)->Stats().shed, 1u);
+    hold.Release();
+    leader.join();
+  }
 
   // Once the slot frees, the same query is admitted.
   auto admitted = (*session)->Query(other);

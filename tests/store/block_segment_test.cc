@@ -448,14 +448,13 @@ TEST_F(BlockSegmentTest, SeekRejectsARestartEntryWithASharedPrefix) {
 // lookup resolves via zone stats + bloom + block index and decodes
 // exactly ONE data block.
 TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
-  TruthStoreOptions options;
-  options.block_size_bytes = 512;  // several blocks per segment
-  auto store = TruthStore::Open(Path("store"), options);
+  auto store = TruthStore::Open(Path("store"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   // 8 flushed segments over disjoint entity ranges, as leveled
-  // compaction would converge to.
-  const size_t kSegments = 8, kEntities = 32;
+  // compaction would converge to; enough rows per segment to fill
+  // several 4 KiB blocks.
+  const size_t kSegments = 8, kEntities = 256;
   for (size_t seg = 0; seg < kSegments; ++seg) {
     for (size_t e = 0; e < kEntities; ++e) {
       char entity[32];
@@ -477,7 +476,7 @@ TEST_F(BlockSegmentTest, PointLookupOnEightSegmentStoreReadsOneBlock) {
   }
 
   const auto pin = (*store)->PinEpoch();
-  const std::string key = "movie-00100";  // lives in segment 4 of 8
+  const std::string key = "movie-01100";  // lives in segment 4 of 8
   RangeScanStats rs;
   auto slice = (*store)->MaterializeSnapshot(*pin, &key, &key, &rs);
   ASSERT_TRUE(slice.ok()) << slice.status().ToString();

@@ -57,10 +57,9 @@ class LeveledCompactionTest : public ::testing::Test {
   std::string root_;
 };
 
+// CompactOnce merges L0 into L1 once four L0 segments exist.
 TEST_F(LeveledCompactionTest, L0TriggerGatesCompactOnce) {
-  TruthStoreOptions options;
-  options.l0_compaction_trigger = 4;
-  auto st = TruthStore::Open(Dir("trigger"), options);
+  auto st = TruthStore::Open(Dir("trigger"));
   ASSERT_TRUE(st.ok());
   const RawDatabase raw = testing::RandomRaw(41);
   const size_t n = raw.NumRows();
@@ -101,27 +100,27 @@ TEST_F(LeveledCompactionTest, L0TriggerGatesCompactOnce) {
 
 TEST_F(LeveledCompactionTest, LeveledStateRoundTripsReopenBitIdentical) {
   const std::string dir = Dir("reopen");
-  TruthStoreOptions options;
-  options.l0_compaction_trigger = 2;
   const RawDatabase raw = testing::RandomRaw(42);
   const size_t n = raw.NumRows();
   {
-    auto st = TruthStore::Open(dir, options);
+    auto st = TruthStore::Open(dir);
     ASSERT_TRUE(st.ok());
     // Interleave flushes and leveled steps so several compaction
-    // generations land in the manifest edit log.
-    for (size_t chunk = 0; chunk < 6; ++chunk) {
+    // generations land in the manifest edit log (L0 merges at the 4th,
+    // 8th and 12th flush).
+    for (size_t chunk = 0; chunk < 12; ++chunk) {
       ASSERT_TRUE(
-          AppendRows(st->get(), raw, chunk * n / 6, (chunk + 1) * n / 6)
+          AppendRows(st->get(), raw, chunk * n / 12, (chunk + 1) * n / 12)
               .ok());
       ASSERT_TRUE((*st)->Flush().ok());
       auto did = (*st)->CompactOnce();
       ASSERT_TRUE(did.ok()) << did.status().ToString();
     }
     EXPECT_GE((*st)->Stats().max_level, 1u);
+    EXPECT_GE((*st)->Stats().compaction.compactions, 3u);
   }  // close and reopen
 
-  auto reopened = TruthStore::Open(dir, options);
+  auto reopened = TruthStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto ds = (*reopened)->Materialize();
   ASSERT_TRUE(ds.ok());
@@ -133,16 +132,16 @@ TEST_F(LeveledCompactionTest, LeveledStateRoundTripsReopenBitIdentical) {
 
 TEST_F(LeveledCompactionTest, OverBudgetLevelSpillsByTrivialMoveWithoutIo) {
   TruthStoreOptions options;
-  options.l0_compaction_trigger = 2;
   options.level_base_bytes = 1;  // every populated level is over budget
   auto st = TruthStore::Open(Dir("move"), options);
   ASSERT_TRUE(st.ok());
   const RawDatabase raw = testing::RandomRaw(43);
   const size_t n = raw.NumRows();
-  ASSERT_TRUE(AppendRows(st->get(), raw, 0, n / 2).ok());
-  ASSERT_TRUE((*st)->Flush().ok());
-  ASSERT_TRUE(AppendRows(st->get(), raw, n / 2, n).ok());
-  ASSERT_TRUE((*st)->Flush().ok());
+  for (size_t chunk = 0; chunk < 4; ++chunk) {
+    ASSERT_TRUE(
+        AppendRows(st->get(), raw, chunk * n / 4, (chunk + 1) * n / 4).ok());
+    ASSERT_TRUE((*st)->Flush().ok());
+  }
 
   // Step 1: the L0 trigger fires and merges into L1 (a real rewrite).
   auto did = (*st)->CompactOnce();
@@ -221,7 +220,7 @@ TEST_F(LeveledCompactionTest, ReopenAfterCrashAtNewBoundariesIsBitIdentical) {
 
   struct CrashCase {
     const char* point;
-    bool during_compact;  // else during the third flush
+    bool during_compact;  // else during the fifth flush
   };
   const std::vector<CrashCase> cases = {
       {"segment-block-write", false},
@@ -229,20 +228,21 @@ TEST_F(LeveledCompactionTest, ReopenAfterCrashAtNewBoundariesIsBitIdentical) {
       {"segment-block-write", true},
       {"manifest-edit-append", true},
   };
-  TruthStoreOptions options;
-  options.l0_compaction_trigger = 2;
   for (size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("crash case " + std::to_string(c) + " at " +
                  cases[c].point);
     const std::string dir = Dir("crash_" + std::to_string(c));
     {
-      auto st = TruthStore::Open(dir, options);
+      auto st = TruthStore::Open(dir);
       ASSERT_TRUE(st.ok());
-      ASSERT_TRUE(AppendRows(st->get(), raw, 0, n / 3).ok());
-      ASSERT_TRUE((*st)->Flush().ok());
-      ASSERT_TRUE(AppendRows(st->get(), raw, n / 3, 2 * n / 3).ok());
-      ASSERT_TRUE((*st)->Flush().ok());
-      ASSERT_TRUE(AppendRows(st->get(), raw, 2 * n / 3, n).ok());
+      // Four L0 segments (enough for the L0 merge) plus a WAL tail.
+      for (size_t chunk = 0; chunk < 4; ++chunk) {
+        ASSERT_TRUE(
+            AppendRows(st->get(), raw, chunk * n / 5, (chunk + 1) * n / 5)
+                .ok());
+        ASSERT_TRUE((*st)->Flush().ok());
+      }
+      ASSERT_TRUE(AppendRows(st->get(), raw, 4 * n / 5, n).ok());
 
       const std::string point = cases[c].point;
       ScopedFailpoint crash([point](std::string_view at) {
@@ -260,7 +260,7 @@ TEST_F(LeveledCompactionTest, ReopenAfterCrashAtNewBoundariesIsBitIdentical) {
       // Discarded without cleanup — the directory is what a SIGKILL at
       // the failpoint leaves behind.
     }
-    auto st = TruthStore::Open(dir, options);
+    auto st = TruthStore::Open(dir);
     ASSERT_TRUE(st.ok()) << st.status().ToString();
     auto ds = (*st)->Materialize();
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
@@ -278,16 +278,15 @@ TEST_F(LeveledCompactionTest, ReopenAfterCrashAtNewBoundariesIsBitIdentical) {
 // are reclaimed.
 TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   const std::string dir = Dir("pin_crash");
-  TruthStoreOptions options;
-  options.l0_compaction_trigger = 2;
-  auto st = TruthStore::Open(dir, options);
+  auto st = TruthStore::Open(dir);
   ASSERT_TRUE(st.ok());
   const RawDatabase raw = testing::RandomRaw(45);
   const size_t n = raw.NumRows();
-  ASSERT_TRUE(AppendRows(st->get(), raw, 0, n / 2).ok());
-  ASSERT_TRUE((*st)->Flush().ok());
-  ASSERT_TRUE(AppendRows(st->get(), raw, n / 2, n).ok());
-  ASSERT_TRUE((*st)->Flush().ok());
+  for (size_t chunk = 0; chunk < 4; ++chunk) {
+    ASSERT_TRUE(
+        AppendRows(st->get(), raw, chunk * n / 4, (chunk + 1) * n / 4).ok());
+    ASSERT_TRUE((*st)->Flush().ok());
+  }
 
   auto pin = (*st)->PinEpoch();
   auto baseline = (*st)->MaterializeSnapshot(*pin);
@@ -296,7 +295,7 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   for (const SegmentInfo& seg : pin->segments()) {
     pinned_files.push_back(dir + "/" + seg.file);
   }
-  ASSERT_EQ(pinned_files.size(), 2u);
+  ASSERT_EQ(pinned_files.size(), 4u);
 
   {
     ScopedFailpoint crash([](std::string_view at) {
@@ -312,11 +311,11 @@ TEST_F(LeveledCompactionTest, MidCompactionCrashWithActivePinDefersFiles) {
   EXPECT_EQ(Triples(*after_crash), Triples(*baseline));
 
   // The retry succeeds (the failed attempt released its exclusivity) and
-  // supersedes both pinned L0 segments — deferred, not deleted.
+  // supersedes all four pinned L0 segments — deferred, not deleted.
   auto did = (*st)->CompactOnce();
   ASSERT_TRUE(did.ok()) << did.status().ToString();
   ASSERT_TRUE(*did);
-  EXPECT_EQ((*st)->num_deferred_segments(), 2u);
+  EXPECT_EQ((*st)->num_deferred_segments(), 4u);
   for (const std::string& path : pinned_files) {
     EXPECT_TRUE(fs::exists(path)) << path;
   }

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -286,20 +287,6 @@ TEST_F(TruthStoreTest, RefusesToReinitializeOverDataWithALostManifest) {
   EXPECT_TRUE(fs::exists(dir2 + "/" + WalFileName(1)));
 }
 
-TEST_F(TruthStoreTest, AutoFlushAtMemtableThreshold) {
-  const std::string dir = Dir("autoflush");
-  TruthStoreOptions options;
-  options.memtable_flush_rows = 3;
-  auto st = TruthStore::Open(dir, options);
-  ASSERT_TRUE(st.ok());
-  const RawDatabase raw = testing::PaperTable1();
-  ASSERT_TRUE(AppendRows(st->get(), raw, 0, raw.NumRows()).ok());
-  TruthStoreStats stats = (*st)->Stats();
-  EXPECT_GE(stats.num_segments, 2u);
-  EXPECT_LT(stats.memtable_rows, 3u);
-  EXPECT_EQ(stats.segment_rows + stats.memtable_rows, raw.NumRows());
-}
-
 TEST_F(TruthStoreTest, ZoneStatsSkipSegmentsOutsideTheEntityRange) {
   const std::string dir = Dir("zones");
   auto st = TruthStore::Open(dir);
@@ -412,7 +399,8 @@ TEST_F(TruthStoreTest, ConcurrentAppendsDuringBackgroundCompaction) {
   ASSERT_TRUE((*st)->Flush().ok());
 
   ThreadPool pool(2);
-  std::shared_future<Status> compaction = (*st)->CompactAsync(pool);
+  std::shared_future<Status> compaction =
+      pool.SubmitWithStatus([&] { return (*st)->Compact(); });
   // Appends proceed while the merge runs on the pool.
   ASSERT_TRUE(AppendRows(st->get(), raw, 2 * n / 3, n).ok());
   ASSERT_TRUE(compaction.get().ok()) << compaction.get().ToString();
@@ -425,7 +413,7 @@ TEST_F(TruthStoreTest, ConcurrentAppendsDuringBackgroundCompaction) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 }
 
-TEST_F(TruthStoreTest, CompactAsyncRejectsASecondConcurrentCompaction) {
+TEST_F(TruthStoreTest, CompactRejectsASecondConcurrentCompaction) {
   const std::string dir = Dir("double_compact");
   const RawDatabase raw = testing::PaperTable1();
   auto st = TruthStore::Open(dir);
@@ -436,7 +424,7 @@ TEST_F(TruthStoreTest, CompactAsyncRejectsASecondConcurrentCompaction) {
   ASSERT_TRUE((*st)->Flush().ok());
 
   // Block the first compaction at its failpoint until released, so the
-  // second CompactAsync deterministically observes it in flight.
+  // second Compact deterministically observes it in flight.
   std::mutex mu;
   std::condition_variable cv;
   bool reached = false;
@@ -452,12 +440,13 @@ TEST_F(TruthStoreTest, CompactAsyncRejectsASecondConcurrentCompaction) {
   });
 
   ThreadPool pool(2);
-  std::shared_future<Status> first = (*st)->CompactAsync(pool);
+  const auto compact = [&] { return (*st)->Compact(); };
+  std::shared_future<Status> first = pool.SubmitWithStatus(compact);
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return reached; });
   }
-  std::shared_future<Status> second = (*st)->CompactAsync(pool);
+  std::shared_future<Status> second = pool.SubmitWithStatus(compact);
   EXPECT_EQ(second.get().code(), StatusCode::kFailedPrecondition);
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -469,7 +458,7 @@ TEST_F(TruthStoreTest, CompactAsyncRejectsASecondConcurrentCompaction) {
 
   // With the first one done, compaction is available again (a no-op now —
   // one segment left).
-  EXPECT_TRUE((*st)->CompactAsync(pool).get().ok());
+  EXPECT_TRUE(pool.SubmitWithStatus(compact).get().ok());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/claim_table.h"
 #include "data/fact_table.h"
@@ -69,6 +72,18 @@ TEST(RegistryTest, EveryMethodRejectsUnknownOptionKeys) {
     auto m = CreateMethod(name + "(definitely_unknown_key=1)");
     ASSERT_FALSE(m.ok()) << name;
     EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+  // Keys that were removed are unknown keys too, and the error names them.
+  for (const auto& [spec, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"LTM(shards=2)", "shards"},
+           {"StreamingLTM(align_shards_to_partitions=true)",
+            "align_shards_to_partitions"}}) {
+    auto m = CreateMethod(spec);
+    ASSERT_FALSE(m.ok()) << spec;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(m.status().message().find("'" + key + "'"), std::string::npos)
+        << spec << ": " << m.status().ToString();
   }
 }
 
