@@ -11,8 +11,10 @@
 //   --benchmark_out=BENCH_methods.json
 // to emit the substrate-comparison artifact CI checks, and with
 //   --benchmark_filter='GibbsSweep' --benchmark_out=BENCH_kernel.json
-// to emit the fused-vs-reference Gibbs kernel comparison CI gates at
-// >= 2x single-thread throughput.
+// to emit the Gibbs kernel comparison CI gates: the memoized one-pass
+// sweep must sustain >= 2x the single-thread throughput of the two-pass
+// std::log transcription of Eq. 2 (BM_GibbsSweepStdLog), so an
+// accidental de-memoization fails the build.
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +36,7 @@
 #include "store/wal.h"
 #include "synth/ltm_process.h"
 #include "synth/movie_simulator.h"
+#include "truth/gibbs_kernel.h"
 #include "truth/ltm.h"
 #include "truth/ltm_incremental.h"
 #include "truth/ltm_parallel.h"
@@ -82,14 +85,11 @@ std::string BenchFilePath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// The reference (bit-pinned) kernel: two LogConditional passes per fact,
-// four std::log calls per packed entry. BM_GibbsSweepFused below runs the
-// same sweep on the fused kernel; CI emits both into BENCH_kernel.json
-// (filter 'GibbsSweep') and gates fused >= 2x reference.
+// The library's Gibbs sweep: one adjacency pass per fact, every
+// log(count + alpha) read from memoized tables (truth/gibbs_kernel.h).
 void BM_GibbsSweep(benchmark::State& state) {
   const auto& data = SharedProcessData(state.range(0));
   LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());
-  opts.kernel = LtmKernel::kReference;
   LtmGibbs sampler(data.graph, opts);
   for (auto _ : state) {
     sampler.RunSweep();
@@ -99,24 +99,70 @@ void BM_GibbsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_GibbsSweep)->Arg(1000)->Arg(10000);
 
-// The fused log-odds kernel: one adjacency pass per fact, all
-// transcendentals memoized in log(count + alpha) tables.
-void BM_GibbsSweepFused(benchmark::State& state) {
+/// Log of the unnormalized Eq. 2 conditional p(t_f = i | t_-f, o),
+/// transcribed literally: one adjacency pass per label and two std::log
+/// calls per claim. `exclude_self` drops fact f's own claims, which are
+/// counted under its current label.
+double StdLogConditional(const ClaimGraph& graph, const LtmOptions& opts,
+                         const std::vector<int64_t>& counts, FactId f, int i,
+                         bool exclude_self) {
+  const BetaPrior& alpha = i == 1 ? opts.alpha1 : opts.alpha0;
+  const double a[2] = {alpha.neg, alpha.pos};
+  double lp = std::log(i == 1 ? opts.beta.pos : opts.beta.neg);
+  const int64_t self = exclude_self ? 1 : 0;
+  const double alpha_sum = a[0] + a[1];
+  for (uint32_t entry : graph.FactClaims(f)) {
+    const uint32_t s = ClaimGraph::PackedId(entry);
+    const int j = ClaimGraph::PackedObs(entry);
+    const int64_t n_ij = counts[s * 4 + i * 2 + j] - self;
+    const int64_t n_i = counts[s * 4 + i * 2] + counts[s * 4 + i * 2 + 1] -
+                        self;
+    lp += std::log(static_cast<double>(n_ij) + a[j]) -
+          std::log(static_cast<double>(n_i) + alpha_sum);
+  }
+  return lp;
+}
+
+// The same sweep with every log computed directly: two StdLogConditional
+// passes per fact, four std::log calls per packed entry. It is the
+// baseline of CI's kernel gate, which divides its time by
+// BM_GibbsSweep's.
+void BM_GibbsSweepStdLog(benchmark::State& state) {
   const auto& data = SharedProcessData(state.range(0));
-  LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());
-  opts.kernel = LtmKernel::kFused;
-  LtmGibbs sampler(data.graph, opts);
+  const ClaimGraph& graph = data.graph;
+  const LtmOptions opts = LtmOptions::ScaledDefaults(graph.NumFacts());
+  Rng rng(opts.seed);
+  std::vector<uint8_t> truth(graph.NumFacts());
+  for (uint8_t& t : truth) t = rng.Bernoulli(0.5) ? 1 : 0;
+  std::vector<int64_t> counts(graph.NumSources() * 4);
+  RecountClaims(graph, truth, &counts);
   for (auto _ : state) {
-    sampler.RunSweep();
+    for (FactId f = 0; f < truth.size(); ++f) {
+      const int cur = truth[f];
+      const int other = 1 - cur;
+      const double lp_cur = StdLogConditional(graph, opts, counts, f, cur,
+                                              /*exclude_self=*/true);
+      const double lp_other = StdLogConditional(graph, opts, counts, f,
+                                                other,
+                                                /*exclude_self=*/false);
+      if (rng.Uniform() < 1.0 / (1.0 + std::exp(lp_cur - lp_other))) {
+        truth[f] = static_cast<uint8_t>(other);
+        for (uint32_t entry : graph.FactClaims(f)) {
+          const uint32_t s = ClaimGraph::PackedId(entry);
+          const int j = ClaimGraph::PackedObs(entry);
+          --counts[s * 4 + cur * 2 + j];
+          ++counts[s * 4 + other * 2 + j];
+        }
+      }
+    }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.graph.NumClaims()));
+                          static_cast<int64_t>(graph.NumClaims()));
 }
-BENCHMARK(BM_GibbsSweepFused)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GibbsSweepStdLog)->Arg(1000)->Arg(10000);
 
-// Sharded sweep on the production default kernel (kAuto: reference at
-// one shard, fused beyond), so the curve shows the compounded
-// kernel-times-sharding throughput a `threads=N` spec actually gets.
+// The same sweep sharded across `threads` shards, so the curve shows the
+// throughput a `threads=N` spec actually gets.
 void BM_ShardedGibbsSweep(benchmark::State& state) {
   const auto& data = SharedProcessData(10000);
   LtmOptions opts = LtmOptions::ScaledDefaults(data.graph.NumFacts());

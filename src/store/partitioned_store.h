@@ -112,8 +112,8 @@ struct PartitionedVerifyReport {
 /// merges child rows back into exact global ingest order — because the
 /// model factorizes by entity AND replay order is reproduced bit for
 /// bit, posteriors computed against a partitioned store are
-/// bit-identical to a single store's (pinned by test under
-/// kernel=reference).
+/// bit-identical to a single store's (pinned by test for a fixed seed
+/// and threads=1).
 ///
 /// CompactOnce() fans the leveled step across partitions, then
 /// rebalances: a partition past split_threshold_rows splits at its

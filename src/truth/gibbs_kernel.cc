@@ -5,9 +5,9 @@
 
 namespace ltm {
 
-void LogCountTables::Reset(
-    const std::array<std::array<double, 2>, 2>& alpha) {
-  alpha_ = alpha;
+void LogCountTables::Reset(const BetaPrior& alpha0,
+                           const BetaPrior& alpha1) {
+  alpha_ = {{{alpha0.neg, alpha0.pos}, {alpha1.neg, alpha1.pos}}};
   for (int i = 0; i < 2; ++i) {
     alpha_sum_[i] = alpha_[i][0] + alpha_[i][1];
     den_[i].clear();
@@ -27,30 +27,29 @@ void LogCountTables::Grow(std::vector<double>* t, double offset,
   }
 }
 
-double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
-                        const std::vector<int64_t>& counts,
-                        const std::array<double, 2>& log_beta,
-                        LogCountTables* tables) {
+double FlipProbability(const ClaimGraph& graph, FactId f, int cur,
+                       const std::vector<int64_t>& counts,
+                       const std::array<double, 2>& log_beta,
+                       LogCountTables* tables) {
   const int other = 1 - cur;
-  double delta = log_beta[other] - log_beta[cur];
+  double lp_cur = log_beta[cur];
+  double lp_other = log_beta[other];
   for (uint32_t entry : graph.FactClaims(f)) {
     const uint32_t s = ClaimGraph::PackedId(entry);
     const int j = ClaimGraph::PackedObs(entry);
     const int64_t* c = &counts[s * 4];
-    const int64_t n_other_j = c[other * 2 + j];
-    const int64_t n_other = c[other * 2] + c[other * 2 + 1];
     // Fact f's own claim is counted under cur, so the self-excluded
     // counts are the raw counts minus one — always >= 0.
-    const int64_t n_cur_j = c[cur * 2 + j] - 1;
-    const int64_t n_cur = c[cur * 2] + c[cur * 2 + 1] - 1;
-    delta += tables->LogNum(other, j, n_other_j) -
-             tables->LogDen(other, n_other);
-    delta -= tables->LogNum(cur, j, n_cur_j) - tables->LogDen(cur, n_cur);
+    lp_cur += tables->LogNum(cur, j, c[cur * 2 + j] - 1) -
+              tables->LogDen(cur, c[cur * 2] + c[cur * 2 + 1] - 1);
+    lp_other += tables->LogNum(other, j, c[other * 2 + j]) -
+                tables->LogDen(other, c[other * 2] + c[other * 2 + 1]);
   }
-  return delta;
+  // p(flip) = p_other / (p_cur + p_other) = sigmoid(lp_other - lp_cur).
+  return 1.0 / (1.0 + std::exp(lp_cur - lp_other));
 }
 
-int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
+int GibbsSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
                     std::vector<uint8_t>* truth,
                     std::vector<int64_t>* counts,
                     const std::array<double, 2>& log_beta,
@@ -58,9 +57,8 @@ int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
   int flips = 0;
   for (FactId f = begin; f < end; ++f) {
     const int cur = (*truth)[f];
-    const double delta =
-        FusedFlipLogOdds(graph, f, cur, *counts, log_beta, tables);
-    const double p_flip = 1.0 / (1.0 + std::exp(-delta));
+    const double p_flip =
+        FlipProbability(graph, f, cur, *counts, log_beta, tables);
     if (rng->Uniform() < p_flip) {
       ++flips;
       const int other = 1 - cur;
@@ -87,11 +85,6 @@ void RecountClaims(const ClaimGraph& graph,
                   ClaimGraph::PackedObs(entry)];
     }
   }
-}
-
-LtmKernel ResolveKernel(LtmKernel kernel, int num_shards) {
-  if (kernel != LtmKernel::kAuto) return kernel;
-  return num_shards > 1 ? LtmKernel::kFused : LtmKernel::kReference;
 }
 
 }  // namespace ltm

@@ -12,14 +12,16 @@
 
 namespace ltm {
 
-/// Memoized transcendental tables for the fused Gibbs kernel: the Eq. 2
+/// Memoized transcendental tables for the Gibbs kernel: the Eq. 2
 /// conditional depends on the per-source counts n_{s,i,j} only through
 /// log(n + alpha_{i,j}) and log(n_{s,i,0} + n_{s,i,1} + alpha_i0 +
 /// alpha_i1), and the counts are small non-negative integers (bounded by
 /// the busiest source's claim count). So each distinct argument is
 /// log()'d once and every later sweep reads it back from a lazily-grown
 /// table — the precompute-the-transcendentals idiom of large-scale
-/// collapsed Gibbs/LDA samplers.
+/// collapsed Gibbs/LDA samplers. Every entry is std::log of exactly the
+/// argument a direct evaluation would compute, so memoizing changes no
+/// bit of the chain.
 ///
 /// Tables are keyed by the truth label i (and observation j for the
 /// numerator family) because the Beta pseudo-counts differ per (i, j).
@@ -38,10 +40,9 @@ class LogCountTables {
   LogCountTables() = default;
 
   /// (Re-)binds the tables to a prior configuration and drops any
-  /// memoized entries. alpha[i][j] is the Eq. 2 pseudo-count layout used
-  /// by the samplers: alpha[0] = {alpha0.neg, alpha0.pos}, alpha[1] =
-  /// {alpha1.neg, alpha1.pos}.
-  void Reset(const std::array<std::array<double, 2>, 2>& alpha);
+  /// memoized entries. Label i = 0 uses alpha0 and i = 1 uses alpha1;
+  /// observation j = 0 takes the prior's `neg` count and j = 1 its `pos`.
+  void Reset(const BetaPrior& alpha0, const BetaPrior& alpha1);
 
   /// log(n + alpha[i][j]); n >= 0.
   double LogNum(int i, int j, int64_t n) {
@@ -77,54 +78,50 @@ class LogCountTables {
   std::array<double, 2> alpha_sum_{};
 };
 
-/// The fused per-fact Gibbs update: returns the flip log-odds
+/// The per-fact Gibbs update (paper Eq. 2): the probability that fact f
+/// flips from its current label `cur`,
 ///
-///   delta = log p(t_f = 1-cur | t_-f, o) - log p(t_f = cur | t_-f, o)
+///   p_flip = 1 / (1 + exp(lp_cur - lp_other)),
 ///
-/// in a single pass over fact f's packed adjacency, with the cur-side
-/// self-exclusion folded into the table indices (fact f's own claim is
-/// always counted under cur, so n_{s,cur,j} - 1 and n_{s,cur,+} - 1 are
-/// the excluded counts and never go negative). The reference kernel
-/// walks the adjacency twice and calls std::log four times per entry;
-/// this walks it once and calls std::log zero times once the tables are
-/// warm. p(flip) = sigmoid(delta).
+/// where lp_i = log beta_i + sum over f's claims of
+/// log(n_{s,i,j} + alpha_{i,j}) - log(n_{s,i,+} + alpha_i0 + alpha_i1),
+/// with fact f's own claims excluded from the cur-side counts (they are
+/// always counted under cur, so n - 1 never goes negative).
+///
+/// One walk over f's packed adjacency keeps the two sums apart, and each
+/// adds its terms in the order of a separate per-label pass; every log
+/// comes from `tables`. The result therefore equals, bit for bit, the
+/// two-pass std::log transcription of Eq. 2 (pinned by
+/// tests/truth/ltm_kernel_test.cc).
 ///
 /// `counts` is the n_{s,i,j} matrix flattened s*4 + i*2 + j — the
 /// authoritative matrix of a sequential chain or a shard's private copy.
-/// `log_beta[i]` is log(beta_i) of the truth prior. Both samplers call
-/// this exact function so fused chains share one floating-point
-/// operation sequence regardless of which sampler runs them.
-double FusedFlipLogOdds(const ClaimGraph& graph, FactId f, int cur,
-                        const std::vector<int64_t>& counts,
-                        const std::array<double, 2>& log_beta,
-                        LogCountTables* tables);
+/// `log_beta[i]` is log(beta_i) of the truth prior.
+double FlipProbability(const ClaimGraph& graph, FactId f, int cur,
+                       const std::vector<int64_t>& counts,
+                       const std::array<double, 2>& log_beta,
+                       LogCountTables* tables);
 
-/// One fused Gibbs pass over facts [begin, end): per fact, evaluate
-/// FusedFlipLogOdds, draw one uniform from `rng`, and on a flip update
-/// `truth` and `counts` in place. Returns the flip count. Both LtmGibbs
-/// and ParallelLtmGibbs run their fused sweeps through this single
-/// function, so the bit-identical-across-samplers guarantee for a fused
-/// (single-shard) chain holds by construction rather than by keeping two
-/// loop copies in sync.
-int FusedSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
+/// One Gibbs pass over facts [begin, end): per fact, evaluate
+/// FlipProbability, draw one uniform from `rng`, and on a flip update
+/// `truth` and `counts` in place. Returns the flip count. LtmGibbs and
+/// every ParallelLtmGibbs shard run their sweeps through this single
+/// function, so a single-shard chain is bit-identical to the sequential
+/// one by construction rather than by keeping two loop copies in sync.
+int GibbsSweepRange(const ClaimGraph& graph, FactId begin, FactId end,
                     std::vector<uint8_t>* truth,
                     std::vector<int64_t>* counts,
                     const std::array<double, 2>& log_beta,
                     LogCountTables* tables, Rng* rng);
 
 /// Rebuilds the flattened n_{s,i,j} count matrix (s*4 + i*2 + j, the
-/// layout both kernels index) from the graph and a truth assignment.
+/// layout the kernel indexes) from the graph and a truth assignment.
 /// `counts` must already be sized NumSources()*4; it is zeroed first.
 /// Shared by both samplers' lazy count builds so the packing layout
 /// cannot drift between the sequential and sharded chains.
 void RecountClaims(const ClaimGraph& graph,
                    const std::vector<uint8_t>& truth,
                    std::vector<int64_t>* counts);
-
-/// Resolves LtmKernel::kAuto for a sampler running `num_shards` shards:
-/// one shard keeps the bit-pinned reference kernel, a sharded run gets
-/// the fused kernel. Explicit choices pass through.
-LtmKernel ResolveKernel(LtmKernel kernel, int num_shards);
 
 }  // namespace ltm
 

@@ -17,15 +17,10 @@ namespace ltm {
 LtmGibbs::LtmGibbs(const ClaimGraph& graph, const LtmOptions& options)
     : graph_(graph),
       options_(options),
-      rng_(options.seed),
-      kernel_(ResolveKernel(options.kernel, /*num_shards=*/1)) {
-  alpha_[0][0] = options_.alpha0.neg;  // prior true negative count
-  alpha_[0][1] = options_.alpha0.pos;  // prior false positive count
-  alpha_[1][0] = options_.alpha1.neg;  // prior false negative count
-  alpha_[1][1] = options_.alpha1.pos;  // prior true positive count
+      rng_(options.seed) {
   log_beta_[0] = std::log(options_.beta.neg);
   log_beta_[1] = std::log(options_.beta.pos);
-  tables_.Reset(alpha_);
+  tables_.Reset(options_.alpha0, options_.alpha1);
   truth_.assign(graph_.NumFacts(), 0);
   counts_.assign(graph_.NumSources() * 4, 0);
   truth_sum_.assign(graph_.NumFacts(), 0.0);
@@ -56,53 +51,9 @@ void LtmGibbs::Initialize() {
   DrawInitialTruth();
 }
 
-double LtmGibbs::LogConditional(FactId f, int i, bool exclude_self) const {
-  // log beta_i prior factor (Eq. 2).
-  double lp = std::log(i == 1 ? options_.beta.pos : options_.beta.neg);
-  const int64_t self = exclude_self ? 1 : 0;
-  const double alpha_sum = alpha_[i][0] + alpha_[i][1];
-  for (uint32_t entry : graph_.FactClaims(f)) {
-    const uint32_t cs = ClaimGraph::PackedId(entry);
-    const int j = ClaimGraph::PackedObs(entry);
-    const int64_t n_ij = counts_[cs * 4 + i * 2 + j] - self;
-    const int64_t n_i =
-        counts_[cs * 4 + i * 2] + counts_[cs * 4 + i * 2 + 1] - self;
-    lp += std::log(static_cast<double>(n_ij) + alpha_[i][j]) -
-          std::log(static_cast<double>(n_i) + alpha_sum);
-  }
-  return lp;
-}
-
 int LtmGibbs::RunSweep() {
   EnsureCounts();
-  return kernel_ == LtmKernel::kFused ? RunSweepFused() : RunSweepReference();
-}
-
-int LtmGibbs::RunSweepReference() {
-  int flips = 0;
-  for (FactId f = 0; f < truth_.size(); ++f) {
-    const int cur = truth_[f];
-    const int other = 1 - cur;
-    const double lp_cur = LogConditional(f, cur, /*exclude_self=*/true);
-    const double lp_other = LogConditional(f, other, /*exclude_self=*/false);
-    // p(flip) = p_other / (p_cur + p_other) = sigmoid(lp_other - lp_cur).
-    const double p_flip = 1.0 / (1.0 + std::exp(lp_cur - lp_other));
-    if (rng_.Uniform() < p_flip) {
-      ++flips;
-      truth_[f] = static_cast<uint8_t>(other);
-      for (uint32_t entry : graph_.FactClaims(f)) {
-        const uint32_t cs = ClaimGraph::PackedId(entry);
-        const int j = ClaimGraph::PackedObs(entry);
-        --counts_[cs * 4 + cur * 2 + j];
-        ++counts_[cs * 4 + other * 2 + j];
-      }
-    }
-  }
-  return flips;
-}
-
-int LtmGibbs::RunSweepFused() {
-  return FusedSweepRange(graph_, 0, static_cast<FactId>(truth_.size()),
+  return GibbsSweepRange(graph_, 0, static_cast<FactId>(truth_.size()),
                          &truth_, &counts_, log_beta_, &tables_, &rng_);
 }
 

@@ -27,15 +27,14 @@ namespace ltm {
 /// State per sweep: the Boolean truth vector t and, per source, the 2x2
 /// integer count matrix n_{s,i,j} (i = current truth of the claimed fact,
 /// j = observation). Equation 2 is evaluated in log space so facts with
-/// hundreds of claims cannot underflow. One conditional streams a fact's
+/// hundreds of claims cannot underflow. Each update streams a fact's
 /// contiguous run of packed 4-byte adjacency words.
 ///
-/// Two kernels evaluate the per-fact update (LtmOptions::kernel):
-/// `reference` calls LogConditional twice per fact (bit-pinned chain),
-/// `fused` accumulates the flip log-odds in one adjacency pass from
-/// memoized log-count tables (truth/gibbs_kernel.h) — same RNG draw
-/// sequence, statistically equivalent posteriors, ~2x+ sweep throughput.
-/// kAuto resolves to `reference` here (one sequential chain).
+/// The per-fact update is FlipProbability (truth/gibbs_kernel.h): one
+/// adjacency pass keeps the two Eq. 2 log-conditionals apart and reads
+/// every log(count + alpha) from memoized tables, equal bit for bit to
+/// the literal two-pass std::log transcription. The chain is fixed by
+/// the seed alone.
 class LtmGibbs {
  public:
   /// `graph` must outlive the sampler. Options are validated; an invalid
@@ -86,15 +85,7 @@ class LtmGibbs {
 
   int num_accumulated_samples() const { return num_samples_; }
 
-  /// The kernel this chain runs (kAuto already resolved).
-  LtmKernel kernel() const { return kernel_; }
-
  private:
-  /// Log of the unnormalized conditional p(t_f = i | t_-f, o, s) (Eq. 2).
-  /// `exclude_self` must be true when i equals the fact's current label so
-  /// the fact's own claims are removed from the counts.
-  double LogConditional(FactId f, int i, bool exclude_self) const;
-
   /// Draws a fresh Bernoulli(0.5) truth assignment, continuing rng_, and
   /// marks the count matrix stale. Consumes exactly NumFacts draws — the
   /// stream contract the bit-pinned posteriors depend on.
@@ -107,13 +98,9 @@ class LtmGibbs {
   /// unsupported either way — RunSweep mutates the chain.)
   void EnsureCounts() const LTM_EXCLUDES(counts_mutex_);
 
-  int RunSweepReference();
-  int RunSweepFused();
-
   const ClaimGraph& graph_;
   LtmOptions options_;
   Rng rng_;
-  LtmKernel kernel_;
 
   std::vector<uint8_t> truth_;       // current t_f per fact
   // n_{s,i,j}, flattened s*4 + i*2 + j; rebuilt lazily (EnsureCounts)
@@ -127,10 +114,8 @@ class LtmGibbs {
   mutable Mutex counts_mutex_;  // guards the lazy build only
   std::vector<double> truth_sum_;    // sum of sampled t_f
   int num_samples_ = 0;
-  // log(alpha_{i,j} ) cached view: alpha_[i][j] pseudo-count.
-  std::array<std::array<double, 2>, 2> alpha_;
   std::array<double, 2> log_beta_;   // log(beta.neg), log(beta.pos)
-  LogCountTables tables_;            // fused-kernel memoized logs
+  LogCountTables tables_;            // memoized log(count + alpha)
 };
 
 /// The paper's headline method as a TruthMethod: runs the collapsed Gibbs

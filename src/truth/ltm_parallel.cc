@@ -21,13 +21,8 @@ ParallelLtmGibbs::ParallelLtmGibbs(const ClaimGraph& graph,
       options_(options),
       pool_(pool != nullptr ? pool : &ThreadPool::Shared()),
       num_shards_(ResolveShards(options)),
-      kernel_(ResolveKernel(options.kernel, num_shards_)),
       shard_bounds_(graph.PartitionFacts(num_shards_)),
       rng_(options.seed) {
-  alpha_[0][0] = options_.alpha0.neg;
-  alpha_[0][1] = options_.alpha0.pos;
-  alpha_[1][0] = options_.alpha1.neg;
-  alpha_[1][1] = options_.alpha1.pos;
   log_beta_[0] = std::log(options_.beta.neg);
   log_beta_[1] = std::log(options_.beta.pos);
   truth_.assign(graph_.NumFacts(), 0);
@@ -43,9 +38,9 @@ ParallelLtmGibbs::ParallelLtmGibbs(const ClaimGraph& graph,
     shard_counts_.assign(num_shards_, std::vector<int64_t>());
     shard_flips_.assign(num_shards_, 0);
   }
-  if (kernel_ == LtmKernel::kFused) {
-    shard_tables_.resize(static_cast<size_t>(num_shards_));
-    for (LogCountTables& tables : shard_tables_) tables.Reset(alpha_);
+  shard_tables_.resize(static_cast<size_t>(num_shards_));
+  for (LogCountTables& tables : shard_tables_) {
+    tables.Reset(options_.alpha0, options_.alpha1);
   }
   DrawInitialTruth();
 }
@@ -80,67 +75,14 @@ void ParallelLtmGibbs::EnsureCounts() const {
   counts_stale_ = false;
 }
 
-double ParallelLtmGibbs::LogConditional(
-    FactId f, int i, bool exclude_self,
-    const std::vector<int64_t>& counts) const {
-  // Same expression sequence as LtmGibbs::LogConditional so single-shard
-  // runs reproduce its floating-point results bit for bit.
-  double lp = std::log(i == 1 ? options_.beta.pos : options_.beta.neg);
-  const int64_t self = exclude_self ? 1 : 0;
-  const double alpha_sum = alpha_[i][0] + alpha_[i][1];
-  for (uint32_t entry : graph_.FactClaims(f)) {
-    const uint32_t s = ClaimGraph::PackedId(entry);
-    const int j = ClaimGraph::PackedObs(entry);
-    const int64_t n_ij = counts[s * 4 + i * 2 + j] - self;
-    const int64_t n_i =
-        counts[s * 4 + i * 2] + counts[s * 4 + i * 2 + 1] - self;
-    lp += std::log(static_cast<double>(n_ij) + alpha_[i][j]) -
-          std::log(static_cast<double>(n_i) + alpha_sum);
-  }
-  return lp;
-}
-
-int ParallelLtmGibbs::SweepRange(FactId begin, FactId end,
-                                 std::vector<int64_t>* counts, Rng* rng,
-                                 LogCountTables* tables) {
-  if (kernel_ == LtmKernel::kFused) {
-    // Shared with LtmGibbs::RunSweepFused, so one fused shard is
-    // bit-identical to the fused sequential chain by construction.
-    return FusedSweepRange(graph_, begin, end, &truth_, counts, log_beta_,
-                           tables, rng);
-  }
-  int flips = 0;
-  for (FactId f = begin; f < end; ++f) {
-    const int cur = truth_[f];
-    const int other = 1 - cur;
-    const double lp_cur = LogConditional(f, cur, /*exclude_self=*/true,
-                                         *counts);
-    const double lp_other = LogConditional(f, other, /*exclude_self=*/false,
-                                           *counts);
-    const double p_flip = 1.0 / (1.0 + std::exp(lp_cur - lp_other));
-    if (rng->Uniform() < p_flip) {
-      ++flips;
-      truth_[f] = static_cast<uint8_t>(other);
-      for (uint32_t entry : graph_.FactClaims(f)) {
-        const uint32_t s = ClaimGraph::PackedId(entry);
-        const int j = ClaimGraph::PackedObs(entry);
-        --(*counts)[s * 4 + cur * 2 + j];
-        ++(*counts)[s * 4 + other * 2 + j];
-      }
-    }
-  }
-  return flips;
-}
-
 Status ParallelLtmGibbs::RunSweep(const std::function<Status()>& stop_check,
                                   int* flips) {
   EnsureCounts();
-  LogCountTables* tables =
-      shard_tables_.empty() ? nullptr : &shard_tables_[0];
   if (num_shards_ == 1) {
     if (stop_check) LTM_RETURN_IF_ERROR(stop_check());
-    *flips = SweepRange(0, static_cast<FactId>(truth_.size()), &counts_,
-                        &rng_, tables);
+    *flips = GibbsSweepRange(graph_, 0, static_cast<FactId>(truth_.size()),
+                             &truth_, &counts_, log_beta_, &shard_tables_[0],
+                             &rng_);
     return Status::OK();
   }
 
@@ -152,10 +94,10 @@ Status ParallelLtmGibbs::RunSweep(const std::function<Status()>& stop_check,
       [this](size_t lo, size_t) {
         const int k = static_cast<int>(lo);
         shard_counts_[k].assign(counts_.begin(), counts_.end());
-        shard_flips_[k] =
-            SweepRange(shard_bounds_[k], shard_bounds_[k + 1],
-                       &shard_counts_[k], &shard_rngs_[k],
-                       shard_tables_.empty() ? nullptr : &shard_tables_[k]);
+        shard_flips_[k] = GibbsSweepRange(
+            graph_, shard_bounds_[k], shard_bounds_[k + 1], &truth_,
+            &shard_counts_[k], log_beta_, &shard_tables_[k],
+            &shard_rngs_[k]);
       },
       stop_check);
   // A cancelled/expired sweep leaves the chain torn (some shards swept,

@@ -44,12 +44,9 @@ namespace ltm {
 /// a valid sampler whose posterior agrees statistically, and is fully
 /// deterministic for a fixed (seed, threads) pair.
 ///
-/// The per-fact update runs on either Gibbs kernel (LtmOptions::kernel);
-/// under kAuto a sharded run resolves to the fused kernel (each shard
-/// owns its memoized log-count tables) while one shard keeps the
-/// bit-pinned reference kernel. Either way the same FusedFlipLogOdds /
-/// LogConditional routines as LtmGibbs evaluate the update, so a
-/// single-shard run is bit-identical to LtmGibbs under both kernels.
+/// Every shard runs the one sweep function LtmGibbs runs
+/// (GibbsSweepRange, truth/gibbs_kernel.h) against its own memoized
+/// log-count tables, so a single-shard run is bit-identical to LtmGibbs.
 class ParallelLtmGibbs {
  public:
   /// `graph` must outlive the sampler. `options.threads` <= 0 resolves to
@@ -106,20 +103,7 @@ class ParallelLtmGibbs {
   int num_shards() const { return num_shards_; }
   int num_accumulated_samples() const { return num_samples_; }
 
-  /// The kernel this sampler runs (kAuto already resolved).
-  LtmKernel kernel() const { return kernel_; }
-
  private:
-  /// Eq. 2 log-conditional over `counts` (a shard's local view).
-  double LogConditional(FactId f, int i, bool exclude_self,
-                        const std::vector<int64_t>& counts) const;
-
-  /// Gibbs-samples facts [begin, end) against `counts` using `rng` and
-  /// the selected kernel (`tables` backs the fused one), updating
-  /// `counts` and truth_ in place. Returns the flip count.
-  int SweepRange(FactId begin, FactId end, std::vector<int64_t>* counts,
-                 Rng* rng, LogCountTables* tables);
-
   /// Draws a fresh truth assignment (shard k from stream k) and marks
   /// the count matrix stale; consumes exactly NumFacts draws per stream.
   void DrawInitialTruth();
@@ -133,7 +117,6 @@ class ParallelLtmGibbs {
   LtmOptions options_;
   ThreadPool* pool_;
   int num_shards_;
-  LtmKernel kernel_;
   std::vector<uint32_t> shard_bounds_;  // num_shards_+1 fact boundaries
 
   Rng rng_;                       // single-shard stream (LtmGibbs-identical)
@@ -148,13 +131,12 @@ class ParallelLtmGibbs {
   mutable bool counts_stale_ LTM_GUARDED_BY(counts_mutex_) = true;
   mutable Mutex counts_mutex_;  // guards the lazy build only
   std::vector<std::vector<int64_t>> shard_counts_;  // per-shard local views
-  // Fused-kernel memo tables: one per shard, never shared across threads
+  // Memoized log tables: one per shard, never shared across threads
   // (lazy growth is unsynchronized).
   std::vector<LogCountTables> shard_tables_;
   std::vector<int> shard_flips_;
   std::vector<double> truth_sum_;
   int num_samples_ = 0;
-  std::array<std::array<double, 2>, 2> alpha_;
   std::array<double, 2> log_beta_;  // log(beta.neg), log(beta.pos)
 };
 

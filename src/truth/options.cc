@@ -4,31 +4,9 @@
 #include <cmath>
 #include <string>
 
-#include "common/string_util.h"
 #include "truth/method_spec.h"
 
 namespace ltm {
-
-const char* LtmKernelName(LtmKernel kernel) {
-  switch (kernel) {
-    case LtmKernel::kReference:
-      return "reference";
-    case LtmKernel::kFused:
-      return "fused";
-    case LtmKernel::kAuto:
-      break;
-  }
-  return "auto";
-}
-
-Result<LtmKernel> ParseLtmKernel(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "auto") return LtmKernel::kAuto;
-  if (lower == "reference") return LtmKernel::kReference;
-  if (lower == "fused") return LtmKernel::kFused;
-  return Status::InvalidArgument(
-      "kernel must be auto|reference|fused, got '" + name + "'");
-}
 
 namespace {
 
@@ -95,10 +73,6 @@ Result<LtmOptions> LtmOptionsFromSpec(const MethodOptions& spec_options,
   LTM_ASSIGN_OR_RETURN(base.seed, spec_options.GetUint64("seed", base.seed));
   LTM_ASSIGN_OR_RETURN(base.threads,
                        spec_options.GetInt("threads", base.threads));
-  LTM_ASSIGN_OR_RETURN(
-      const std::string kernel_name,
-      spec_options.GetString("kernel", LtmKernelName(base.kernel)));
-  LTM_ASSIGN_OR_RETURN(base.kernel, ParseLtmKernel(kernel_name));
   LTM_ASSIGN_OR_RETURN(
       base.truth_threshold,
       spec_options.GetDouble("threshold", base.truth_threshold));

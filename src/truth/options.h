@@ -2,7 +2,6 @@
 #define LTM_TRUTH_OPTIONS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 
@@ -23,30 +22,6 @@ struct BetaPrior {
   /// Prior mean of the positive-observation probability.
   double Mean() const { return pos / (pos + neg); }
 };
-
-/// Which implementation of the per-fact Gibbs update the samplers run.
-/// Both evaluate the same collapsed conditional (paper Eq. 2); they
-/// differ in how much floating-point work a sweep pays.
-enum class LtmKernel {
-  /// Resolve per sampler: `kReference` on the sequential chain (one
-  /// shard), `kFused` on the multi-shard sampler. The default.
-  kAuto = 0,
-  /// Two LogConditional passes per fact, four std::log calls per packed
-  /// adjacency entry — the original Algorithm 1 transcription whose
-  /// posteriors are pinned bit-identical across releases.
-  kReference,
-  /// One pass per fact accumulating the flip log-odds directly, with all
-  /// transcendentals served from memoized log(count + alpha) tables
-  /// (truth/gibbs_kernel.h). Statistically equivalent to kReference —
-  /// same RNG draw sequence, different floating-point rounding — and
-  /// ~2x+ faster per sweep; validated against the exact oracle and the
-  /// reference chain by tests/truth/ltm_kernel_test.cc.
-  kFused,
-};
-
-/// Spec-string form: "auto", "reference", "fused" (case-insensitive).
-const char* LtmKernelName(LtmKernel kernel);
-Result<LtmKernel> ParseLtmKernel(const std::string& name);
 
 /// Hyper-parameters and sampler controls for the Latent Truth Model.
 /// Defaults follow the paper's movie-data configuration (§6.2).
@@ -76,8 +51,9 @@ struct LtmOptions {
   /// Seed for the sampler's deterministic RNG.
   uint64_t seed = 42;
 
-  /// Gibbs-sweep shard count, spec key `threads`. 1 (default) runs the
-  /// sequential sampler, bit-identical to the original Algorithm 1
+  /// Gibbs-sweep shard count, spec key `threads`. Together with `seed`
+  /// it fixes the chain bit for bit. 1 (default) runs the sequential
+  /// sampler, bit-identical to the original Algorithm 1
   /// implementation. N > 1 runs the sharded sampler: facts are
   /// partitioned into N contiguous shards, each driven by its own
   /// SplitStream RNG, with per-shard count matrices merged at sweep
@@ -87,11 +63,6 @@ struct LtmOptions {
   /// counts). It sets only the shard count, not the number of worker
   /// threads: the shards run on ThreadPool::Shared(), whatever its size.
   int threads = 1;
-
-  /// Gibbs update kernel, spec key `kernel` (`auto|reference|fused`).
-  /// kAuto keeps the sequential chain on the bit-pinned reference kernel
-  /// and runs the sharded sampler on the fused kernel.
-  LtmKernel kernel = LtmKernel::kAuto;
 
   /// When true, negative claims are ignored (the LTMpos ablation of §6.2).
   bool positive_claims_only = false;
@@ -129,10 +100,9 @@ struct LtmOptions {
 
 /// Applies spec-string options (truth/method_spec.h) on top of `base` and
 /// validates the result. Accepted keys: iterations, burnin,
-/// sample_gap|gap, seed, threads, kernel,
-/// threshold|truth_threshold, positive_only, and the
-/// six prior pseudo-counts alpha0_pos, alpha0_neg, alpha1_pos, alpha1_neg,
-/// beta_pos, beta_neg. Used by every LTM-family registry factory.
+/// sample_gap|gap, seed, threads, threshold|truth_threshold,
+/// positive_only, refit_epoch_delta, and the six prior pseudo-counts
+/// alpha0_pos, alpha0_neg, alpha1_pos, alpha1_neg, beta_pos, beta_neg. Used by every LTM-family registry factory.
 Result<LtmOptions> LtmOptionsFromSpec(const MethodOptions& spec_options,
                                       LtmOptions base);
 

@@ -58,7 +58,6 @@ class ServeSessionPartitionedTest : public ::testing::Test {
     options.ltm.burnin = 10;
     options.ltm.seed = 5;
     options.ltm.threads = 1;
-    options.ltm.kernel = LtmKernel::kReference;
     options.refit_every_chunks = 0;
     return options;
   }

@@ -99,7 +99,6 @@ class RowScorerOracleTest : public ::testing::TestWithParam<size_t> {
     options.ltm.burnin = 10;
     options.ltm.seed = seed;
     options.ltm.threads = 1;
-    options.ltm.kernel = LtmKernel::kReference;
     options.refit_every_chunks = 0;
     pipeline_ = std::make_unique<ext::StreamingPipeline>(options);
     ASSERT_TRUE(pipeline_->BootstrapFromStore(store_.get()).ok());

@@ -57,15 +57,13 @@ class PartitionedTruthStoreTest : public ::testing::Test {
     return st->Sync();
   }
 
-  /// The pinned inference configuration: the bit-reproducible reference
-  /// kernel on one chain.
+  /// The pinned inference configuration: one bit-reproducible chain.
   static std::vector<double> LtmPosteriors(const Dataset& ds) {
     LtmOptions opts = LtmOptions::ScaledDefaults(ds.facts.NumFacts());
     opts.iterations = 40;
     opts.burnin = 10;
     opts.seed = 11;
     opts.threads = 1;
-    opts.kernel = LtmKernel::kReference;
     LatentTruthModel model(opts);
     return model.Score(ds.facts, ds.graph).probability;
   }
@@ -169,7 +167,7 @@ TEST_F(PartitionedTruthStoreTest, RoutesAppendsByEntityRange) {
 
 // The acceptance pin: the same rows ingested in the same order into a
 // 4-way partitioned store and into a single store yield BIT-IDENTICAL
-// posteriors under the reference kernel — partitioning is invisible to
+// posteriors for a fixed seed on one chain — partitioning is invisible to
 // inference because global ingest order is reproduced exactly from the
 // per-partition WALs and segments. The feed repeats rows (inside one
 // memtable, across a flush, and against the unflushed tail), and both

@@ -1,16 +1,16 @@
-// Statistical-equivalence harness for the fused Gibbs kernel: the fused
-// kernel draws the same RNG sequence as the reference kernel but rounds
-// differently (one fused accumulation instead of two LogConditional
-// passes), so its chain diverges bit-wise while remaining a sampler of
-// the identical collapsed posterior. These tests pin the contract: fused
-// marginals match the exact enumeration oracle on small instances, fused
-// and reference posterior means agree within sampling tolerance on
-// synthetic LTM-process data, the counts invariant holds sweep by sweep,
-// and the kernel option wires through specs, the registry, and both
-// samplers (including the sharded thread-pool path the TSan leg covers).
+// Tests for the Gibbs kernel (truth/gibbs_kernel.h): the one-pass sweep
+// that fuses the two Eq. 2 log-conditionals into a single adjacency walk
+// and reads every log(count + alpha) from memoized tables. The exact
+// oracle pins its per-fact flip probability, bit for bit, to a two-pass
+// std::log transcription of Eq. 2 through several sweeps. The rest pin
+// the statistical contract: marginals match the exact enumeration oracle
+// on small instances, the counts invariant holds sweep by sweep, and both
+// samplers (including the sharded thread-pool path the TSan leg covers)
+// run the same chain for a fixed (seed, threads) pair.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -52,67 +52,100 @@ ClaimGraph RandomTinyClaims(uint64_t seed, size_t num_facts,
   return ClaimGraph::FromClaims(std::move(claims), num_facts, num_sources);
 }
 
-// ---------------------------------------------------------------------------
-// Option plumbing.
-
-TEST(GibbsKernelTest, ParseAndNameRoundTrip) {
-  for (LtmKernel k : {LtmKernel::kAuto, LtmKernel::kReference,
-                      LtmKernel::kFused}) {
-    auto parsed = ParseLtmKernel(LtmKernelName(k));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, k);
+/// Log of the unnormalized Eq. 2 conditional p(t_f = i | t_-f, o),
+/// transcribed literally: one adjacency pass per label and two std::log
+/// calls per claim. `alpha[i][j]` is the pseudo-count of label i and
+/// observation j; `exclude_self` drops fact f's own claims, which are
+/// counted under its current label.
+double TwoPassLogConditional(const ClaimGraph& graph,
+                             const std::vector<int64_t>& counts,
+                             const std::array<std::array<double, 2>, 2>& alpha,
+                             const BetaPrior& beta, FactId f, int i,
+                             bool exclude_self) {
+  double lp = std::log(i == 1 ? beta.pos : beta.neg);
+  const int64_t self = exclude_self ? 1 : 0;
+  const double alpha_sum = alpha[i][0] + alpha[i][1];
+  for (uint32_t entry : graph.FactClaims(f)) {
+    const uint32_t cs = ClaimGraph::PackedId(entry);
+    const int j = ClaimGraph::PackedObs(entry);
+    const int64_t n_ij = counts[cs * 4 + i * 2 + j] - self;
+    const int64_t n_i =
+        counts[cs * 4 + i * 2] + counts[cs * 4 + i * 2 + 1] - self;
+    lp += std::log(static_cast<double>(n_ij) + alpha[i][j]) -
+          std::log(static_cast<double>(n_i) + alpha_sum);
   }
-  auto upper = ParseLtmKernel("FUSED");  // values are case-insensitive
-  ASSERT_TRUE(upper.ok());
-  EXPECT_EQ(*upper, LtmKernel::kFused);
-  EXPECT_FALSE(ParseLtmKernel("vectorized").ok());
-}
-
-TEST(GibbsKernelTest, SpecParsesKernelForLtmFamily) {
-  for (const char* spec : {"LTM(kernel=fused)", "LTMpos(kernel=reference)",
-                           "LTMinc(kernel=fused)", "LTM(kernel=auto)"}) {
-    auto method = CreateMethod(spec);
-    EXPECT_TRUE(method.ok()) << spec << ": " << method.status().ToString();
-  }
-  auto bad = CreateMethod("LTM(kernel=nope)");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(GibbsKernelTest, AutoResolvesPerSamplerShape) {
-  EXPECT_EQ(ResolveKernel(LtmKernel::kAuto, 1), LtmKernel::kReference);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kAuto, 8), LtmKernel::kFused);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kFused, 1), LtmKernel::kFused);
-  EXPECT_EQ(ResolveKernel(LtmKernel::kReference, 8), LtmKernel::kReference);
-
-  ClaimGraph graph = RandomTinyClaims(3, 10, 4);
-  LtmOptions opts = TinyOptions();
-  opts.iterations = 10;
-  opts.burnin = 2;
-  EXPECT_EQ(LtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-  opts.threads = 1;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-  opts.threads = 4;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kFused);
-  opts.kernel = LtmKernel::kReference;
-  EXPECT_EQ(ParallelLtmGibbs(graph, opts).kernel(), LtmKernel::kReference);
-}
-
-// kernel=reference must be the exact chain kAuto runs sequentially —
-// the spelled-out form of today's bit-pinned default.
-TEST(GibbsKernelTest, ExplicitReferenceBitIdenticalToAutoSequential) {
-  ClaimGraph graph = RandomTinyClaims(17, 14, 5);
-  LtmOptions opts = TinyOptions(9);
-  opts.iterations = 200;
-  opts.burnin = 40;
-  TruthEstimate auto_run = LtmGibbs(graph, opts).Run();
-  opts.kernel = LtmKernel::kReference;
-  TruthEstimate ref_run = LtmGibbs(graph, opts).Run();
-  EXPECT_EQ(auto_run.probability, ref_run.probability);
+  return lp;
 }
 
 // ---------------------------------------------------------------------------
-// Counts invariant under the fused kernel.
+// The exact oracle: memoizing and fusing the two passes changes no bit.
+
+TEST(GibbsKernelTest, FlipProbabilityEqualsTwoPassStdLogExactly) {
+  for (uint64_t seed : {3u, 11u, 47u, 90u}) {
+    // Enough facts per source that counts cross several table-growth
+    // boundaries, and fractional priors like ScaledDefaults produces.
+    ClaimGraph graph = RandomTinyClaims(seed, 400, 6);
+    Rng prior_rng(seed + 1000);
+    LtmOptions opts;
+    opts.alpha0 = BetaPrior{prior_rng.Uniform(0.5, 50.0),
+                            prior_rng.Uniform(50.0, 5000.0)};
+    opts.alpha1 = BetaPrior{prior_rng.Uniform(0.5, 80.0),
+                            prior_rng.Uniform(0.5, 80.0)};
+    opts.beta = BetaPrior{prior_rng.Uniform(0.5, 20.0),
+                          prior_rng.Uniform(0.5, 20.0)};
+    opts.seed = seed;
+    opts.threads = 1;
+    const std::array<std::array<double, 2>, 2> alpha{
+        {{opts.alpha0.neg, opts.alpha0.pos},
+         {opts.alpha1.neg, opts.alpha1.pos}}};
+    const std::array<double, 2> log_beta{std::log(opts.beta.neg),
+                                         std::log(opts.beta.pos)};
+    LogCountTables tables;
+    tables.Reset(opts.alpha0, opts.alpha1);
+
+    // The oracle chain replays LtmGibbs's stream: the initial draw from
+    // Rng(seed), then one uniform per fact per sweep.
+    LtmGibbs sampler(graph, opts);
+    Rng rng(opts.seed);
+    std::vector<uint8_t> truth(graph.NumFacts());
+    for (uint8_t& t : truth) t = rng.Bernoulli(0.5) ? 1 : 0;
+    std::vector<int64_t> counts(graph.NumSources() * 4);
+    RecountClaims(graph, truth, &counts);
+
+    for (int sweep = 0; sweep < 6; ++sweep) {
+      for (FactId f = 0; f < graph.NumFacts(); ++f) {
+        const int cur = truth[f];
+        const int other = 1 - cur;
+        const double lp_cur = TwoPassLogConditional(
+            graph, counts, alpha, opts.beta, f, cur, /*exclude_self=*/true);
+        const double lp_other = TwoPassLogConditional(
+            graph, counts, alpha, opts.beta, f, other,
+            /*exclude_self=*/false);
+        const double expected = 1.0 / (1.0 + std::exp(lp_cur - lp_other));
+        const double actual =
+            FlipProbability(graph, f, cur, counts, log_beta, &tables);
+        EXPECT_EQ(actual, expected)
+            << "seed " << seed << " sweep " << sweep << " fact " << f;
+        if (rng.Uniform() < expected) {
+          truth[f] = static_cast<uint8_t>(other);
+          for (uint32_t entry : graph.FactClaims(f)) {
+            const uint32_t s = ClaimGraph::PackedId(entry);
+            const int j = ClaimGraph::PackedObs(entry);
+            --counts[s * 4 + cur * 2 + j];
+            ++counts[s * 4 + other * 2 + j];
+          }
+        }
+      }
+      // The library chain takes the same flips, sweep by sweep.
+      sampler.RunSweep();
+      ASSERT_EQ(sampler.truth(), truth) << "seed " << seed << " sweep "
+                                        << sweep;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Counts invariant.
 
 class FusedCountsTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -123,7 +156,6 @@ TEST_P(FusedCountsTest, CountsStayConsistentWithTruth) {
   LtmOptions opts = TinyOptions(GetParam());
   opts.iterations = 20;
   opts.burnin = 5;
-  opts.kernel = LtmKernel::kFused;
   LtmGibbs sampler(claims, opts);
 
   for (int sweep = 0; sweep < 5; ++sweep) {
@@ -151,9 +183,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedCountsTest,
                          ::testing::Values(3, 17, 29, 61));
 
 // ---------------------------------------------------------------------------
-// Exact-marginal equivalence: the fused chain converges to the same
-// enumerated posterior as the reference chain (the oracle knows nothing
-// about either kernel).
+// Exact-marginal equivalence: the chain converges to the enumerated
+// posterior (the enumeration oracle knows nothing about the kernel).
 
 class FusedVsExactTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -163,7 +194,6 @@ TEST_P(FusedVsExactTest, PosteriorMeansMatchEnumeration) {
   auto exact = ExactPosterior(claims, opts);
   ASSERT_TRUE(exact.ok());
 
-  opts.kernel = LtmKernel::kFused;
   TruthEstimate est = LtmGibbs(claims, opts).Run();
   for (FactId f = 0; f < claims.NumFacts(); ++f) {
     EXPECT_NEAR(est.probability[f], (*exact)[f], 0.05)
@@ -175,75 +205,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedVsExactTest,
                          ::testing::Values(2, 3, 5, 8, 13, 21, 42, 99));
 
 // ---------------------------------------------------------------------------
-// Fused-vs-reference agreement on synthetic LTM-process data.
-
-TEST(GibbsKernelTest, FusedAndReferenceMarginalsAgreeOnSmallGraphs) {
-  RawDatabase raw = testing::RandomRaw(1234, 12, 3, 5, 0.7);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
-  LtmOptions opts;
-  opts.alpha0 = BetaPrior{1.0, 20.0};
-  opts.alpha1 = BetaPrior{2.0, 2.0};
-  opts.beta = BetaPrior{1.0, 1.0};
-  opts.iterations = 2000;
-  opts.burnin = 400;
-  opts.sample_gap = 1;
-  opts.seed = 11;
-
-  opts.kernel = LtmKernel::kReference;
-  TruthEstimate ref = LtmGibbs(claims, opts).Run();
-  opts.kernel = LtmKernel::kFused;
-  TruthEstimate fused = LtmGibbs(claims, opts).Run();
-  for (FactId f = 0; f < claims.NumFacts(); ++f) {
-    EXPECT_NEAR(fused.probability[f], ref.probability[f], 0.08)
-        << "fact " << f;
-  }
-}
-
-TEST(GibbsKernelTest, FusedAndReferenceAgreeOnLtmProcessData) {
-  synth::LtmProcessOptions gen;
-  gen.num_facts = 400;
-  gen.num_sources = 12;
-  gen.alpha0 = BetaPrior{5.0, 95.0};
-  gen.alpha1 = BetaPrior{80.0, 20.0};
-  gen.seed = 9;
-  synth::LtmProcessData data = synth::GenerateLtmProcess(gen);
-
-  LtmOptions opts;
-  opts.alpha0 = BetaPrior{10.0, 400.0};
-  opts.iterations = 120;
-  opts.burnin = 20;
-  opts.sample_gap = 2;
-  opts.seed = 4;
-
-  opts.kernel = LtmKernel::kReference;
-  TruthEstimate ref = LtmGibbs(data.graph, opts).Run();
-  opts.kernel = LtmKernel::kFused;
-  TruthEstimate fused = LtmGibbs(data.graph, opts).Run();
-
-  // Posterior-mean tolerance per fact plus a near-zero decision
-  // disagreement rate — the same bar two independently seeded reference
-  // chains are held to on this data.
-  size_t disagreements = 0;
-  double total_abs_diff = 0.0;
-  for (FactId f = 0; f < data.graph.NumFacts(); ++f) {
-    total_abs_diff += std::abs(fused.probability[f] - ref.probability[f]);
-    if ((fused.probability[f] >= 0.5) != (ref.probability[f] >= 0.5)) {
-      ++disagreements;
-    }
-  }
-  EXPECT_LT(disagreements, data.graph.NumFacts() / 50);
-  EXPECT_LT(total_abs_diff / data.graph.NumFacts(), 0.02);
-
-  // Both kernels recover the generating truth.
-  PointMetrics m = EvaluateAtThreshold(fused.probability, data.truth, 0.5);
-  EXPECT_GT(m.accuracy(), 0.95) << m.confusion.ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Sampler parity: both samplers run the same fused floating-point
-// sequence, and the sharded path (the kernel's production home) stays
-// deterministic and statistically sound.
+// Sampler parity: both samplers run the same sweep function, and the
+// sharded path stays deterministic and statistically sound.
 
 TEST(GibbsKernelTest, FusedSingleShardBitIdenticalAcrossSamplers) {
   RawDatabase raw = testing::RandomRaw(55);
@@ -253,15 +216,14 @@ TEST(GibbsKernelTest, FusedSingleShardBitIdenticalAcrossSamplers) {
   opts.iterations = 120;
   opts.burnin = 20;
   opts.sample_gap = 2;
-  opts.kernel = LtmKernel::kFused;
   opts.threads = 1;
 
   TruthEstimate sequential = LtmGibbs(claims, opts).Run();
   TruthEstimate sharded = ParallelLtmGibbs(claims, opts).Run();
   EXPECT_EQ(sequential.probability, sharded.probability);
 
-  // The registry route (threads=1, kernel=fused) lands on the same chain.
-  auto method = CreateMethod("LTM(kernel=fused)", opts);
+  // The registry route (threads=1) lands on the same chain.
+  auto method = CreateMethod("LTM(threads=1)", opts);
   ASSERT_TRUE(method.ok()) << method.status().ToString();
   TruthEstimate via_registry = (*method)->Score(facts, claims);
   EXPECT_EQ(via_registry.probability, sequential.probability);
@@ -275,11 +237,9 @@ TEST(GibbsKernelTest, FusedShardedDeterministicForSeed) {
   opts.iterations = 60;
   opts.burnin = 10;
   opts.sample_gap = 2;
-  opts.threads = 4;  // kAuto resolves to the fused kernel here
+  opts.threads = 4;
 
-  ParallelLtmGibbs a(claims, opts);
-  EXPECT_EQ(a.kernel(), LtmKernel::kFused);
-  TruthEstimate ea = a.Run();
+  TruthEstimate ea = ParallelLtmGibbs(claims, opts).Run();
   TruthEstimate eb = ParallelLtmGibbs(claims, opts).Run();
   EXPECT_EQ(ea.probability, eb.probability);
 }
@@ -298,31 +258,11 @@ TEST(GibbsKernelTest, FusedShardedRecoversTruthOnGoodSyntheticData) {
   opts.iterations = 100;
   opts.burnin = 20;
   opts.sample_gap = 4;
-  opts.threads = 4;  // default-fused parallel path
+  opts.threads = 4;
   LatentTruthModel model(opts);
   TruthEstimate est = model.Score(data.facts, data.graph);
   PointMetrics m = EvaluateAtThreshold(est.probability, data.truth, 0.5);
   EXPECT_GT(m.accuracy(), 0.95) << m.confusion.ToString();
-}
-
-// Sharded reference stays available behind the flag: the pre-fused
-// multi-shard chain is reproducible by spelling kernel=reference.
-TEST(GibbsKernelTest, ShardedReferenceKernelStillRuns) {
-  RawDatabase raw = testing::RandomRaw(71);
-  FactTable facts = FactTable::Build(raw);
-  ClaimGraph claims = ClaimGraph::Build(ClaimTable::Build(raw, facts));
-  LtmOptions opts = TinyOptions(7);
-  opts.iterations = 60;
-  opts.burnin = 10;
-  opts.sample_gap = 2;
-  opts.threads = 3;
-  opts.kernel = LtmKernel::kReference;
-
-  ParallelLtmGibbs sampler(claims, opts);
-  EXPECT_EQ(sampler.kernel(), LtmKernel::kReference);
-  TruthEstimate a = sampler.Run();
-  TruthEstimate b = ParallelLtmGibbs(claims, opts).Run();
-  EXPECT_EQ(a.probability, b.probability);
 }
 
 // Const inspection stays race-free under the lazy count build: two
@@ -366,7 +306,8 @@ TEST(LogCountTablesTest, MatchesStdLogAcrossGrowth) {
   LogCountTables tables;
   const std::array<std::array<double, 2>, 2> alpha{
       {{10000.0, 100.0}, {50.0, 50.0}}};
-  tables.Reset(alpha);
+  tables.Reset(BetaPrior{alpha[0][1], alpha[0][0]},
+               BetaPrior{alpha[1][1], alpha[1][0]});
   for (int i = 0; i < 2; ++i) {
     const double alpha_sum = alpha[i][0] + alpha[i][1];
     // Probe out of order, past several growth boundaries, and across the
@@ -386,57 +327,6 @@ TEST(LogCountTablesTest, MatchesStdLogAcrossGrowth) {
                 std::log(static_cast<double>(n) + alpha_sum))
           << "i=" << i << " n=" << n;
     }
-  }
-}
-
-TEST(LogCountTablesTest, FusedFlipLogOddsMatchesTwoPassConditional) {
-  // The fused delta must equal lp(other) - lp(cur) computed the
-  // reference way, up to floating-point reassociation.
-  ClaimGraph claims = RandomTinyClaims(23, 9, 4);
-  LtmOptions opts = TinyOptions();
-  std::vector<uint8_t> truth(claims.NumFacts());
-  Rng rng(3);
-  for (FactId f = 0; f < claims.NumFacts(); ++f) {
-    truth[f] = rng.Bernoulli(0.5) ? 1 : 0;
-  }
-  std::vector<int64_t> counts(claims.NumSources() * 4, 0);
-  for (FactId f = 0; f < claims.NumFacts(); ++f) {
-    for (uint32_t entry : claims.FactClaims(f)) {
-      ++counts[ClaimGraph::PackedId(entry) * 4 + truth[f] * 2 +
-               ClaimGraph::PackedObs(entry)];
-    }
-  }
-
-  const std::array<std::array<double, 2>, 2> alpha{
-      {{opts.alpha0.neg, opts.alpha0.pos}, {opts.alpha1.neg, opts.alpha1.pos}}};
-  const std::array<double, 2> log_beta{std::log(opts.beta.neg),
-                                       std::log(opts.beta.pos)};
-  LogCountTables tables;
-  tables.Reset(alpha);
-
-  auto reference_lp = [&](FactId f, int i, bool exclude_self) {
-    double lp = std::log(i == 1 ? opts.beta.pos : opts.beta.neg);
-    const int64_t self = exclude_self ? 1 : 0;
-    const double alpha_sum = alpha[i][0] + alpha[i][1];
-    for (uint32_t entry : claims.FactClaims(f)) {
-      const uint32_t cs = ClaimGraph::PackedId(entry);
-      const int j = ClaimGraph::PackedObs(entry);
-      const int64_t n_ij = counts[cs * 4 + i * 2 + j] - self;
-      const int64_t n_i =
-          counts[cs * 4 + i * 2] + counts[cs * 4 + i * 2 + 1] - self;
-      lp += std::log(static_cast<double>(n_ij) + alpha[i][j]) -
-            std::log(static_cast<double>(n_i) + alpha_sum);
-    }
-    return lp;
-  };
-
-  for (FactId f = 0; f < claims.NumFacts(); ++f) {
-    const int cur = static_cast<int>(truth[f]);
-    const double fused =
-        FusedFlipLogOdds(claims, f, cur, counts, log_beta, &tables);
-    const double two_pass = reference_lp(f, 1 - cur, false) -
-                            reference_lp(f, cur, true);
-    EXPECT_NEAR(fused, two_pass, 1e-9) << "fact " << f;
   }
 }
 

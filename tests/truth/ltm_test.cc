@@ -169,10 +169,10 @@ LtmOptions GoldenOptions() {
   opts.burnin = 8;
   opts.sample_gap = 1;
   opts.seed = 7;
-  // Pinned explicitly (kAuto resolves to kReference on the sequential
-  // chain today, but a golden bit-pin must not depend on that default —
-  // the determinism lint enforces this).
-  opts.kernel = LtmKernel::kReference;
+  // A chain is fixed by (seed, threads): pinned explicitly so a golden
+  // bit-pin cannot depend on the default shard count (the determinism
+  // lint enforces this).
+  opts.threads = 1;
   return opts;
 }
 

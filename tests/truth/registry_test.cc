@@ -77,6 +77,7 @@ TEST(RegistryTest, EveryMethodRejectsUnknownOptionKeys) {
   for (const auto& [spec, key] :
        std::vector<std::pair<std::string, std::string>>{
            {"LTM(shards=2)", "shards"},
+           {"LTM(kernel=reference)", "kernel"},
            {"StreamingLTM(align_shards_to_partitions=true)",
             "align_shards_to_partitions"}}) {
     auto m = CreateMethod(spec);

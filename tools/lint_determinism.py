@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Determinism lint: static scan enforcing the repo's reproducibility contract.
 
-The library promises bit-identical chains for a fixed seed (kernel=reference,
-threads=1) and statistically-equivalent chains otherwise. That promise dies
+The library promises bit-identical chains for a fixed (seed, threads) pair,
+and statistically-equivalent chains across shard counts. That promise dies
 quietly if a hot path picks up ad-hoc randomness, wall-clock input, or
 iteration order from an unordered container. This lint bans the paths by
 which that happens:
@@ -22,11 +22,12 @@ which that happens:
                        loop body, in the same directories — hash-order
                        iteration makes float accumulation order (and thus
                        low bits) vary across libstdc++ versions.
-  R4 golden-kernel-pin a golden bit-pin test (file mentioning "golden" with
-                       EXPECT_DOUBLE_EQ assertions) must pin the kernel
-                       explicitly (LtmKernel::kReference or kernel=reference)
-                       so a future default-kernel change cannot silently
-                       re-gold the expected values.
+  R4 golden-threads-pin a golden bit-pin test (file mentioning "golden"
+                       with EXPECT_DOUBLE_EQ assertions) must pin the shard
+                       count explicitly in code (`threads = 1` or
+                       `threads=1`): the seed and the shard count fix a
+                       chain, so a future default-threads change cannot
+                       silently re-gold the expected values.
 
 False positives are suppressed via tools/determinism_allowlist.txt:
 one `<rule-id> <path-substring>` pair per line, '#' comments.
@@ -42,7 +43,7 @@ from pathlib import Path
 RULE_BANNED_RANDOM = "banned-random"
 RULE_WALL_CLOCK = "wall-clock"
 RULE_UNORDERED_ITER = "unordered-iter"
-RULE_GOLDEN_PIN = "golden-kernel-pin"
+RULE_GOLDEN_PIN = "golden-threads-pin"
 
 RANDOM_PATTERNS = [
     (re.compile(r"(?<![\w:])s?rand\s*\("), "rand()/srand()"),
@@ -71,7 +72,7 @@ R3_BODY_WINDOW = 12
 
 GOLDEN_HINT = re.compile(r"golden", re.IGNORECASE)
 DOUBLE_PIN = re.compile(r"EXPECT_DOUBLE_EQ")
-KERNEL_PIN = re.compile(r"LtmKernel::kReference|kernel\s*=\s*reference")
+THREADS_PIN = re.compile(r"\bthreads\s*=\s*1(?!\d)")
 
 
 def strip_comments(line):
@@ -133,13 +134,14 @@ def scan_unordered_iteration(relpath, lines, findings, allow):
 def scan_golden_pin(relpath, text, findings, allow):
     if not (GOLDEN_HINT.search(text) and DOUBLE_PIN.search(text)):
         return
-    if KERNEL_PIN.search(text):
+    code = "\n".join(strip_comments(l) for l in text.splitlines())
+    if THREADS_PIN.search(code):
         return
     if not allowed(allow, RULE_GOLDEN_PIN, relpath):
         findings.append(
             (RULE_GOLDEN_PIN, relpath, 1,
-             "golden bit-pin test without an explicit kernel pin "
-             "(LtmKernel::kReference or kernel=reference)"))
+             "golden bit-pin test without an explicit shard-count pin "
+             "(threads = 1 or threads=1)"))
 
 
 def main():
